@@ -64,4 +64,9 @@ ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench obs_ov
 echo "== backends bench (smoke mode: recall/latency harness executes, baseline untouched) =="
 ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench backends
 
+echo "== benchmark package (own workspace: links the serving API, smoke-runs every workload, checks BENCHMARK.json names) =="
+# `bench/` is outside this workspace, so nothing above compiles it; an API
+# break there would otherwise surface only in the benchmark run itself.
+bench/check.sh
+
 echo "CI OK"

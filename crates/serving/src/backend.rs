@@ -176,7 +176,8 @@ pub trait SearchBackend {
 
     /// Batched ranking for the *offline* posting build. Runs once at server
     /// construction, so it may probe wider than the serving path (IVF uses
-    /// `nprobe.max(build_nprobe)`); defaults to the plain serving probe.
+    /// `nprobe.max(OFFLINE_MIN_NPROBE)`); defaults to the plain serving
+    /// probe.
     fn offline_rank_batch(
         &self,
         queries: &Matrix,
@@ -216,12 +217,16 @@ pub(crate) fn score_flat(
 pub struct IvfBackend {
     index: IvfIndex,
     nprobe: usize,
-    build_nprobe: usize,
 }
 
+/// Fewest IVF lists [`SearchBackend::offline_rank_batch`] probes. The
+/// posting ranking runs once at build, so even a deliberately narrow serving
+/// `nprobe` still gets postings ranked over a usable candidate set.
+const OFFLINE_MIN_NPROBE: usize = 4;
+
 impl IvfBackend {
-    pub fn new(index: IvfIndex, nprobe: usize, build_nprobe: usize) -> Self {
-        Self { index, nprobe, build_nprobe }
+    pub fn new(index: IvfIndex, nprobe: usize) -> Self {
+        Self { index, nprobe }
     }
 
     pub fn index(&self) -> &IvfIndex {
@@ -273,9 +278,7 @@ impl SearchBackend for IvfBackend {
         queries: &Matrix,
         k: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        // The offline posting ranking runs once at build time, so it probes
-        // at least `build_nprobe` lists regardless of the serving `nprobe`.
-        self.index.search_batch(queries, k, self.nprobe.max(self.build_nprobe))
+        self.index.search_batch(queries, k, self.nprobe.max(OFFLINE_MIN_NPROBE))
     }
 
     fn attach_metrics(&mut self, registry: &MetricsRegistry) {
@@ -567,7 +570,7 @@ mod tests {
     fn ivf_backend_delegates_bitwise_to_the_raw_index() {
         let items = random_items(300, 8, 26);
         let raw = IvfIndex::build(&items, 10, 4, 26);
-        let wrapped = IvfBackend::new(IvfIndex::build(&items, 10, 4, 26), 3, 4);
+        let wrapped = IvfBackend::new(IvfIndex::build(&items, 10, 4, 26), 3);
         let m = query_matrix(9, 8, 27);
         assert_eq!(
             wrapped.search_batch(&m, 6).expect("backend"),
@@ -579,7 +582,7 @@ mod tests {
         assert!(!bounded.capped());
         assert_eq!(bounded.full_budget, 3);
         assert_eq!(bounded.results, raw.search_batch(&m, 6, 3).expect("raw"));
-        // Offline ranking probes nprobe.max(build_nprobe).
+        // Offline ranking probes nprobe.max(OFFLINE_MIN_NPROBE).
         assert_eq!(
             wrapped.offline_rank_batch(&m, 6).expect("offline"),
             raw.search_batch(&m, 6, 4).expect("raw wide"),
@@ -589,7 +592,7 @@ mod tests {
     #[test]
     fn floor_probe_is_the_minimum_width_probe() {
         let items = random_items(300, 8, 33);
-        let wrapped = IvfBackend::new(IvfIndex::build(&items, 10, 4, 33), 3, 4);
+        let wrapped = IvfBackend::new(IvfIndex::build(&items, 10, 4, 33), 3);
         let raw = IvfIndex::build(&items, 10, 4, 33);
         let m = query_matrix(5, 8, 34);
         let floor = wrapped.search_batch_floor(&m, 6).expect("floor");
@@ -621,7 +624,7 @@ mod tests {
             exact.search_batch(&m, 5).expect("enum"),
             direct.search_batch(&m, 5).expect("direct")
         );
-        let ivf = Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 6, 3, 28), 2, 4));
+        let ivf = Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 6, 3, 28), 2));
         assert_eq!(ivf.kind(), BackendKind::Ivf);
         assert!(ivf.as_ivf().is_some());
     }

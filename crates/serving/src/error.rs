@@ -13,6 +13,9 @@ use zoomer_graph::{GraphError, NodeId};
 pub enum ServingError {
     /// A request referenced a node id outside the loaded graph.
     NodeOutOfRange { node: NodeId, num_nodes: usize },
+    /// A request asked for more results than the server will rank for one
+    /// query ([`crate::server::MAX_TOP_K`]).
+    TopKOutOfRange { top_k: u32, max: u32 },
     /// A query vector's width does not match the index dimension.
     DimensionMismatch { expected: usize, got: usize },
     /// A build- or load-time parameter was unusable.
@@ -35,6 +38,9 @@ impl std::fmt::Display for ServingError {
         match self {
             ServingError::NodeOutOfRange { node, num_nodes } => {
                 write!(f, "node {node} out of range (graph has {num_nodes} nodes)")
+            }
+            ServingError::TopKOutOfRange { top_k, max } => {
+                write!(f, "top_k {top_k} out of range (at most {max} per query)")
             }
             ServingError::DimensionMismatch { expected, got } => {
                 write!(f, "query width mismatch: index dim {expected}, got {got}")

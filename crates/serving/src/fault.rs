@@ -137,6 +137,15 @@ pub struct FaultInjector {
     injected: [AtomicU64; FaultSite::COUNT],
 }
 
+/// Pass through `site` on a stage's optional injector. Servers built without
+/// one (production) pay a single `Option` check per stage.
+#[inline]
+pub(crate) fn fire(fault: &Option<Arc<FaultInjector>>, site: FaultSite) {
+    if let Some(f) = fault {
+        f.fire(site);
+    }
+}
+
 impl FaultInjector {
     /// Record one pass through `site` and run any scheduled faults. Called
     /// by the server at stage boundaries; a site with no matching rules

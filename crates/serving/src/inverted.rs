@@ -8,12 +8,15 @@
 //! posting-list lookup, and warm queries get precomputed slates.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use zoomer_graph::{HeteroGraph, NodeId, NodeType};
 
 /// Term → queries, query → ranked items.
 pub struct InvertedIndex {
-    term_to_queries: HashMap<u32, Vec<NodeId>>,
+    /// First layer. Depends on the graph alone, so the shards of one serving
+    /// tier share a single copy ([`InvertedIndex::sharing_terms`]).
+    term_to_queries: Arc<HashMap<u32, Vec<NodeId>>>,
     query_postings: HashMap<NodeId, Vec<NodeId>>,
 }
 
@@ -28,7 +31,14 @@ impl InvertedIndex {
                 term_to_queries.entry(t).or_default().push(q);
             }
         }
-        Self { term_to_queries, query_postings: HashMap::new() }
+        Self { term_to_queries: Arc::new(term_to_queries), query_postings: HashMap::new() }
+    }
+
+    /// An index over the *same* first layer with no postings installed: how
+    /// each item-pool shard gets its own posting partition without
+    /// re-deriving (or re-storing) the term layer from the graph.
+    pub fn sharing_terms(&self) -> Self {
+        Self { term_to_queries: Arc::clone(&self.term_to_queries), query_postings: HashMap::new() }
     }
 
     /// Install the ranked item posting for a query (second layer).

@@ -25,8 +25,16 @@
 //!   selected per batch from the remaining deadline budget.
 //! - [`frozen`] — a thread-safe, tape-free snapshot of a trained model used
 //!   on the serving path (edge attention only).
-//! - [`server`] — the retrieval server: focal → cached neighbors → online
-//!   embedding → ANN lookup.
+//! - [`server`] / [`shard`] / [`sharded`] — the one request path, cut at one
+//!   seam. The *front half* (`server`: validate → deadline admission →
+//!   counters → partitioned neighbor-cache resolve → one stacked embed) is
+//!   the only code that touches the graph, the frozen towers and the
+//!   caches; a [`RankShard`] (`shard`: backend + posting partition + cache
+//!   partition + probe-cost EWMA) is the only code that probes, walks the
+//!   brownout ladder, or builds fallback rows. [`OnlineServer`] is the
+//!   front half plus one shard called inline; [`ShardedServer`] is the same
+//!   front half plus N shards behind worker channels and a score merge
+//!   ([`router`]). Which of the two runs is the type the caller built.
 //! - [`load`] — the unified open-/closed-loop QPS/latency harness (Fig 9):
 //!   one [`run_load`] entry point driven by a [`LoadTestSpec`], reporting
 //!   per-stage percentile breakdowns through the metrics registry, with a
@@ -61,6 +69,7 @@ pub mod proximity;
 pub mod quantized;
 pub mod router;
 pub mod server;
+pub mod shard;
 pub mod sharded;
 pub mod topk;
 pub mod wire;
@@ -83,7 +92,8 @@ pub use load::{
 pub use proximity::ProximityGraph;
 pub use quantized::{QuantMemory, QuantizedIvf, DEFAULT_RERANK_FACTOR};
 pub use router::TenantFairGate;
-pub use server::{OnlineServer, ScoredRetrieval, ServerBuilder, ServingConfig};
+pub use server::{OnlineServer, ScoredRetrieval, ServerBuilder, ServingConfig, MAX_TOP_K};
+pub use shard::RankShard;
 pub use sharded::ShardedServer;
 pub use wire::{
     FrontDoor, RequestFrame, ResponseFrame, ResponseRow, ResponseStatus, WireClient, WireError,

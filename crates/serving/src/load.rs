@@ -328,7 +328,8 @@ pub fn run_load<S: QueryService>(
     let elapsed = start.elapsed();
     let diff = server.metrics_snapshot().since(&metrics_before);
     let delta = |name: &str| diff.counter(name).unwrap_or(0);
-    // Each degraded batch counts exactly one realized brownout rung, so the
+    // Each degraded batch counts exactly one realized brownout rung — once,
+    // by the batch's owner, whatever the service's shard count — so the
     // four rung counters sum without overlap. `serve.degraded.nprobe_capped`
     // is a registered alias that mirrors every `budget_capped` increment, so
     // adding it too would double-count capped batches.

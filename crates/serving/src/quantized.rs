@@ -601,7 +601,7 @@ mod tests {
         // backend (ground truth = exact scan).
         let items = random_items(1500, 16, 5);
         let (k, nprobe, nlist) = (10usize, 4usize, 32usize);
-        let ivf = IvfBackend::new(IvfIndex::build(&items, nlist, 8, 5), nprobe, nprobe);
+        let ivf = IvfBackend::new(IvfIndex::build(&items, nlist, 8, 5), nprobe);
         let quant = QuantizedIvf::build(&items, nlist, 8, 5, nprobe, DEFAULT_RERANK_FACTOR);
         let oracle = ExactSearch::build(&items);
         let queries = query_matrix(150, 16, 6);

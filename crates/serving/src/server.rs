@@ -1,26 +1,33 @@
 //! The online retrieval server: request → focal → cached neighbors →
 //! online embedding → ANN lookup → ranked item ids.
 //!
-//! Execution is batch-first: [`OnlineServer::handle_batch`] resolves the
-//! neighbor cache for a whole batch under one lock round, runs the frozen
-//! towers as one stacked matmul per layer, and issues a multi-query ANN
-//! probe that visits each coarse list once per batch. A single request is a
-//! batch of one through the same path.
+//! The request path is one sequence cut at one seam. The **front half**
+//! (`FrontHalf`) validates the batch, admits it under its deadline, counts
+//! it, resolves every node's neighborhood through the partitioned neighbor
+//! cache under one lock round per partition, and runs the frozen towers as
+//! one stacked matmul per layer — it is the only code that touches the
+//! graph, the towers, or the caches. The **rank half**
+//! ([`RankShard`]) probes one item-pool partition
+//! against those embeddings. [`OnlineServer`] is the front half plus one
+//! rank shard called inline; [`ShardedServer`](crate::sharded::ShardedServer)
+//! is the same front half plus N shards behind worker channels. A single
+//! request is a batch of one through the same path.
 //!
 //! Under a bounded deadline the batch serves at a
-//! [`BrownoutRung`](crate::brownout::BrownoutRung) chosen from the
+//! [`BrownoutRung`] chosen from the
 //! remaining budget — full quality, skip-widening, shrunk top-k, capped
-//! probe, or inverted-index fallback — each rung counted under
-//! `serve.degraded.*`.
+//! probe, or inverted-index fallback. The shard reports the rung it
+//! realized; the batch's owner counts it under `serve.degraded.*`, once.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
-use zoomer_graph::{HeteroGraph, NodeId, Query, Retrieval, ShardingConfig};
-use zoomer_obs::{Counter, Histogram, MetricsRegistry, Snapshot, StageTimer};
+use zoomer_graph::{
+    shard_of_node, HeteroGraph, NodeId, NodeType, Query, Retrieval, ShardingConfig,
+};
+use zoomer_obs::{CacheStats, Counter, Histogram, MetricsRegistry, Snapshot, StageTimer};
 use zoomer_sampler::{FocalBiasedSampler, FocalContext, NeighborSampler};
 use zoomer_tensor::{seeded_rng, Matrix};
 
@@ -30,23 +37,30 @@ use crate::brownout::BrownoutRung;
 use crate::cache::NeighborCache;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
-use crate::fault::{FaultInjector, FaultSite};
+use crate::fault::{self, FaultInjector, FaultSite};
 use crate::frozen::{neutral_topk_neighbors, FrozenModel};
 use crate::inverted::InvertedIndex;
 use crate::proximity::ProximityGraph;
 use crate::quantized::QuantizedIvf;
+use crate::shard::RankShard;
 
 /// A request's resolved (user-neighborhood, query-neighborhood) pair, shared
 /// with the cache without copying.
-pub(crate) type NeighborPair = (Arc<Vec<NodeId>>, Arc<Vec<NodeId>>);
+type NeighborPair = (Arc<Vec<NodeId>>, Arc<Vec<NodeId>>);
 
 /// Ranked item postings computed for one chunk of query nodes at build time.
 type QueryPostings = Vec<(NodeId, Vec<NodeId>)>;
 
-/// A budget-aware retrieval probe's outcome: per-query scored candidates,
-/// plus whether the probe was capped below the backend's configured budget
-/// (`nprobe` for IVF, beam width for the proximity graph).
-type BudgetedProbe = Result<(Vec<Vec<(u64, f32)>>, bool), ServingError>;
+/// Most results one query may ask for. A request's `top_k` arrives from the
+/// wire as a raw `u32`; unbounded, it would turn the Full rung's widening
+/// into an exact scan of the whole partition per row and answer with the
+/// entire pool.
+pub const MAX_TOP_K: u32 = 4096;
+
+/// Misses at or past this count are computed on the rayon pool (deployment
+/// pre-fill sweeps); a request batch's handful stays on the calling thread,
+/// where a fork-join would cost more than the computes.
+const PAR_SWEEP_MIN: usize = 256;
 
 /// Serving-stack parameters.
 #[derive(Clone, Copy, Debug)]
@@ -70,13 +84,6 @@ pub struct ServingConfig {
     /// Plays the role `nprobe` plays for IVF: the recall/latency knob the
     /// deadline ladder caps under pressure.
     pub beam_width: usize,
-    /// Minimum IVF lists probed when ranking the per-query postings at
-    /// *build* time. The build-time ranking is offline and runs once, so it
-    /// can afford a wider probe than the serving-path `nprobe`; the
-    /// effective build probe is `nprobe.max(build_nprobe)`. Historically a
-    /// hidden `max(4)` — now explicit so a deliberately narrow `nprobe`
-    /// study can set `build_nprobe: 1` and actually get a narrow build.
-    pub build_nprobe: usize,
     /// Shortlist widening for the quantized backend: the int8 scan keeps
     /// `rerank_factor × top_k` candidates per query, which the exact f32
     /// rerank then narrows back to `top_k`. Larger values recover more of
@@ -114,7 +121,6 @@ impl Default for ServingConfig {
             nlist: 32,
             graph_degree: 12,
             beam_width: 32,
-            build_nprobe: 4,
             rerank_factor: crate::quantized::DEFAULT_RERANK_FACTOR,
             disable_cache: false,
             deadline: None,
@@ -124,9 +130,49 @@ impl Default for ServingConfig {
     }
 }
 
-/// A scored, per-query retrieval: what the scatter-gather router needs from
-/// each shard to merge honestly — item ids *with* their relevance scores
-/// (ids alone cannot be interleaved across shards) plus the degraded flag.
+impl ServingConfig {
+    /// The per-query result size: the request's own `top_k` when set, the
+    /// server default otherwise (`top_k == 0` is the tuple-era "whatever the
+    /// server is configured for").
+    #[inline]
+    pub(crate) fn effective_top_k(&self, q: &Query) -> usize {
+        if q.top_k == 0 {
+            self.top_k
+        } else {
+            q.top_k as usize
+        }
+    }
+
+    /// Reject degenerate values at build, not at request time.
+    fn validate(&self) -> Result<(), ServingError> {
+        let invalid = |msg| Err(ServingError::InvalidConfig(msg));
+        if self.top_k == 0 {
+            return invalid("top_k must be positive");
+        }
+        if self.nprobe == 0 || self.nlist == 0 {
+            return invalid("nprobe and nlist must be positive");
+        }
+        if self.backend == BackendKind::Proximity
+            && (self.graph_degree == 0 || self.beam_width == 0)
+        {
+            return invalid("graph_degree and beam_width must be positive");
+        }
+        if self.backend == BackendKind::Quantized && self.rerank_factor == 0 {
+            return invalid("rerank_factor must be positive");
+        }
+        if self.cache_capacity == 0 {
+            return invalid("cache_capacity must be positive");
+        }
+        if self.sharding.num_shards == 0 || self.sharding.replicas_per_shard == 0 {
+            return invalid("sharding needs at least one shard and one replica");
+        }
+        Ok(())
+    }
+}
+
+/// A scored, per-query retrieval: what a merge across shards needs from
+/// each one to be honest — item ids *with* their relevance scores (ids
+/// alone cannot be interleaved across shards) plus the degraded flag.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScoredRetrieval {
     /// `(item id, score)` pairs, descending score.
@@ -145,11 +191,16 @@ impl ScoredRetrieval {
     }
 }
 
-/// Pre-registered metric handles for the request path. Built once at server
-/// construction (the only time the registry lock is taken); recording is
-/// relaxed atomics through these handles, and no-ops down to one relaxed
-/// load per stage while the registry is disabled.
-struct ServerMetrics {
+/// Drop every row's scores ([`ScoredRetrieval::into_retrieval`]).
+pub(crate) fn into_retrievals(rows: Vec<ScoredRetrieval>) -> Vec<Retrieval> {
+    rows.into_iter().map(ScoredRetrieval::into_retrieval).collect()
+}
+
+/// Pre-registered metric handles for everything a batch's owner counts.
+/// Built once at server construction (the only time the registry lock is
+/// taken); recording is relaxed atomics through these handles, and no-ops
+/// down to one relaxed load per stage while the registry is disabled.
+struct FrontMetrics {
     registry: Arc<MetricsRegistry>,
     requests: Counter,
     batches: Counter,
@@ -173,16 +224,11 @@ struct ServerMetrics {
     /// Batches served at [`BrownoutRung::ShrinkTopK`]: each query's top-k
     /// was halved (`serve.degraded.topk_shrunk`).
     degraded_topk: Counter,
-    /// EWMA of the ANN stage's cost in ns, measured only when a deadline is
-    /// bounded; feeds the next batch's at-risk-probe decision.
-    ann_ewma_ns: AtomicU64,
     stage_cache: Histogram,
     stage_embed: Histogram,
-    stage_ann: Histogram,
-    stage_rank: Histogram,
 }
 
-impl ServerMetrics {
+impl FrontMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             requests: registry.counter("serve.requests"),
@@ -193,49 +239,243 @@ impl ServerMetrics {
             degraded_nprobe: registry.counter("serve.degraded.nprobe_capped"),
             degraded_skip_widen: registry.counter("serve.degraded.skip_widen"),
             degraded_topk: registry.counter("serve.degraded.topk_shrunk"),
-            ann_ewma_ns: AtomicU64::new(0),
             stage_cache: registry.histogram("serve.stage.cache_resolve_ns"),
             stage_embed: registry.histogram("serve.stage.embed_ns"),
-            stage_ann: registry.histogram("serve.stage.ann_probe_ns"),
-            stage_rank: registry.histogram("serve.stage.rank_ns"),
             registry,
         }
     }
 }
 
-/// A shareable (`Arc`-cloneable, `&self`) online retrieval server.
-pub struct OnlineServer {
+/// The front half of the request path — validate → deadline admission →
+/// request/batch counters → partition-aware neighbor resolve → one stacked
+/// embed — plus the per-batch degraded accounting. Shared verbatim by
+/// [`OnlineServer`] and [`ShardedServer`](crate::sharded::ShardedServer):
+/// every method that needs the caches takes the owner's shard slice, and a
+/// single cache is just its `N = 1` partition.
+pub(crate) struct FrontHalf {
     graph: Arc<HeteroGraph>,
     frozen: Arc<FrozenModel>,
-    /// The retrieval backend (enum-dispatched: no dynamic call in the hot
-    /// probe loop), selected by [`ServingConfig::backend`].
-    backend: Arc<Backend>,
-    /// Two-layer term → query → item index (§VII-E's iGraph layout) used by
-    /// the term-retrieval fallback path.
-    inverted: Arc<InvertedIndex>,
-    cache: Arc<NeighborCache>,
     config: ServingConfig,
     sampler: FocalBiasedSampler,
-    metrics: Arc<ServerMetrics>,
     /// Deterministic fault injector (tests/harnesses only); `None` in
-    /// production and on every pre-existing code path.
+    /// production.
     fault: Option<Arc<FaultInjector>>,
+    metrics: FrontMetrics,
 }
 
-impl Clone for OnlineServer {
-    fn clone(&self) -> Self {
-        Self {
-            graph: Arc::clone(&self.graph),
-            frozen: Arc::clone(&self.frozen),
-            backend: Arc::clone(&self.backend),
-            inverted: Arc::clone(&self.inverted),
-            cache: Arc::clone(&self.cache),
-            config: self.config,
-            sampler: self.sampler,
-            metrics: Arc::clone(&self.metrics),
-            fault: self.fault.clone(),
+impl FrontHalf {
+    pub(crate) fn graph(&self) -> &HeteroGraph {
+        &self.graph
+    }
+
+    pub(crate) fn config(&self) -> ServingConfig {
+        self.config
+    }
+
+    pub(crate) fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics.registry
+    }
+
+    /// Point-in-time snapshot of every metric, with the cache partitions'
+    /// summed counters ingested first so hits/misses/refreshes appear next
+    /// to the stage timings.
+    pub(crate) fn metrics_snapshot(&self, shards: &[Arc<RankShard>]) -> Snapshot {
+        self.metrics.registry.ingest_cache("cache", cache_stats(shards));
+        self.metrics.registry.snapshot()
+    }
+
+    /// Reject any request node id outside the loaded graph before it can
+    /// reach code that indexes adjacency or feature arrays.
+    fn validate_nodes(&self, nodes: impl IntoIterator<Item = NodeId>) -> Result<(), ServingError> {
+        let num_nodes = self.graph.num_nodes();
+        for node in nodes {
+            if node as usize >= num_nodes {
+                return Err(ServingError::NodeOutOfRange { node, num_nodes });
+            }
+        }
+        Ok(())
+    }
+
+    /// Run the front half over a non-empty batch: `Ok(Some(uq))` is the
+    /// stacked request embeddings, ready to rank; `Ok(None)` means the batch
+    /// was admitted but its budget ran out before the embed, so the caller
+    /// answers from its shards' fallback rows.
+    ///
+    /// A malformed request (a node id outside the graph, a `top_k` past
+    /// [`MAX_TOP_K`]) or a budget already spent at admission is an `Err`
+    /// for this batch only; nothing has been counted or cached, and the
+    /// server keeps serving subsequent batches. Once admitted the batch
+    /// always produces a response.
+    pub(crate) fn prepare(
+        &self,
+        shards: &[Arc<RankShard>],
+        queries: &[Query],
+        deadline: &Deadline,
+    ) -> Result<Option<Matrix>, ServingError> {
+        self.validate_nodes(queries.iter().flat_map(|r| [r.user, r.query]))?;
+        if let Some(top_k) = queries.iter().map(|q| q.top_k).find(|&k| k > MAX_TOP_K) {
+            return Err(ServingError::TopKOutOfRange { top_k, max: MAX_TOP_K });
+        }
+        let m = &self.metrics;
+        if deadline.expired() {
+            m.deadline_exceeded.inc();
+            return Err(ServingError::DeadlineExceeded { stage: "admission" });
+        }
+        m.batches.inc();
+        m.requests.add(queries.len() as u64);
+
+        fault::fire(&self.fault, FaultSite::CacheResolve);
+        let t = StageTimer::start(&m.stage_cache);
+        let neighbors = self.resolve_neighbors(shards, queries)?;
+        t.stop();
+        if deadline.expired() {
+            return Ok(None);
+        }
+
+        fault::fire(&self.fault, FaultSite::Embed);
+        let t = StageTimer::start(&m.stage_embed);
+        let neighbor_slices: Vec<(&[NodeId], &[NodeId])> =
+            neighbors.iter().map(|(u, q)| (u.as_slice(), q.as_slice())).collect();
+        let uq = self.frozen.embed_requests(&self.graph, queries, &neighbor_slices);
+        t.stop();
+        Ok(Some(uq))
+    }
+
+    /// Resolve the user/query neighborhoods for a whole batch.
+    ///
+    /// Cached path: the miss sweep below, then a per-request lookup.
+    /// `disable_cache` (ablation) samples fresh per request under the
+    /// request's own focal context, like the paper's no-cache variant, and
+    /// touches no shard state.
+    fn resolve_neighbors(
+        &self,
+        shards: &[Arc<RankShard>],
+        queries: &[Query],
+    ) -> Result<Vec<NeighborPair>, ServingError> {
+        if self.config.disable_cache {
+            return Ok(queries
+                .iter()
+                .map(|r| {
+                    let (u, q) = r.pair();
+                    let ctx = FocalContext::for_request(&self.graph, u, q);
+                    let sample = |n: NodeId| {
+                        let mut rng = seeded_rng(n as u64);
+                        let mut fresh = self.sampler.sample(
+                            &self.graph,
+                            n,
+                            &ctx,
+                            self.config.cache_k,
+                            &mut rng,
+                        );
+                        fresh.truncate(self.config.cache_k);
+                        Arc::new(fresh)
+                    };
+                    (sample(u), sample(q))
+                })
+                .collect());
+        }
+        let resolved = self.fill_misses(shards, queries.iter().flat_map(|r| [r.user, r.query]));
+        let get = |n: NodeId| {
+            resolved
+                .get(&n)
+                .map(Arc::clone)
+                .ok_or(ServingError::Internal("cache sweep lost a node"))
+        };
+        queries.iter().map(|r| Ok((get(r.user)?, get(r.query)?))).collect()
+    }
+
+    /// The one cache sweep: route each distinct node to the partition that
+    /// owns it ([`shard_of_node`]), read every partition under one
+    /// `get_many` lock round, compute the misses, install them under one
+    /// `insert_many` write. Returns every requested node's entry.
+    ///
+    /// Entries are always the node's neutral-focal top-k
+    /// ([`neutral_topk_neighbors`] — the same definition offline eval uses),
+    /// so an entry never depends on which request, which shard count, or
+    /// which of warm-up and serving happened to materialize it.
+    fn fill_misses(
+        &self,
+        shards: &[Arc<RankShard>],
+        nodes: impl IntoIterator<Item = NodeId>,
+    ) -> HashMap<NodeId, Arc<Vec<NodeId>>> {
+        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
+        let mut seen = HashSet::new();
+        for n in nodes {
+            if seen.insert(n) {
+                by_shard[shard_of_node(n, shards.len())].push(n);
+            }
+        }
+        let mut resolved = HashMap::with_capacity(seen.len());
+        let compute =
+            |&n: &NodeId| (n, neutral_topk_neighbors(&self.graph, n, self.config.cache_k));
+        for (shard, owned) in shards.iter().zip(&by_shard) {
+            if owned.is_empty() {
+                continue;
+            }
+            let found = shard.cache().get_many(owned);
+            let missing: Vec<NodeId> =
+                owned.iter().zip(&found).filter(|(_, f)| f.is_none()).map(|(&n, _)| n).collect();
+            let computed: Vec<(NodeId, Vec<NodeId>)> = if missing.len() >= PAR_SWEEP_MIN {
+                missing.par_iter().map(compute).collect()
+            } else {
+                missing.iter().map(compute).collect()
+            };
+            let inserted = shard.cache().insert_many(computed);
+            resolved.extend(missing.into_iter().zip(inserted));
+            resolved.extend(owned.iter().zip(found).filter_map(|(&n, hit)| Some((n, hit?))));
+        }
+        resolved
+    }
+
+    /// Warm the cache partitions for a set of nodes (deployment pre-fill):
+    /// each node lands only in its owning partition, through the same sweep
+    /// the request path runs on a miss — so pre-warmed and cold-started
+    /// servers serve identical results.
+    pub(crate) fn warm_cache(
+        &self,
+        shards: &[Arc<RankShard>],
+        nodes: &[NodeId],
+    ) -> Result<(), ServingError> {
+        if self.config.disable_cache {
+            return Ok(());
+        }
+        self.validate_nodes(nodes.iter().copied())?;
+        self.fill_misses(shards, nodes.iter().copied());
+        Ok(())
+    }
+
+    /// Count how one served batch degraded: exactly one `serve.degraded.*`
+    /// counter, named for the *worst* rung any of its shards realized — one
+    /// per batch for the model-path rungs, one per request for the
+    /// fallback, nothing for a full-quality batch. Called by the batch's
+    /// owner, never by a shard, so the family partitions degraded batches
+    /// identically at every shard count.
+    pub(crate) fn count_degraded(&self, realized: BrownoutRung, requests: usize) {
+        let m = &self.metrics;
+        match realized {
+            BrownoutRung::Full => {}
+            BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
+            BrownoutRung::ShrinkTopK => m.degraded_topk.inc(),
+            BrownoutRung::CapBudget => {
+                m.degraded_budget.inc();
+                m.degraded_nprobe.inc();
+            }
+            BrownoutRung::Fallback => m.degraded_fallback.add(requests as u64),
         }
     }
+}
+
+/// Neighbor-cache counters summed across every shard's partition.
+pub(crate) fn cache_stats(shards: &[Arc<RankShard>]) -> CacheStats {
+    let mut total = CacheStats::default();
+    for shard in shards {
+        let s = shard.cache().stats();
+        total.hits += s.hits;
+        total.misses += s.misses;
+        total.refreshes += s.refreshes;
+        total.evictions += s.evictions;
+    }
+    total
 }
 
 /// Step-by-step construction of an [`OnlineServer`] — the supported way to
@@ -254,17 +494,14 @@ impl Clone for OnlineServer {
 /// ```
 #[derive(Default)]
 pub struct ServerBuilder {
-    pub(crate) graph: Option<Arc<HeteroGraph>>,
-    pub(crate) graph_bytes: Option<bytes::Bytes>,
-    pub(crate) frozen: Option<FrozenModel>,
-    /// Shared-tower alternative to `frozen`: the sharded builder hands every
-    /// shard the same `Arc` so N shards do not hold N copies of the weights.
-    pub(crate) frozen_shared: Option<Arc<FrozenModel>>,
-    pub(crate) item_pool: Vec<NodeId>,
+    graph: Option<Arc<HeteroGraph>>,
+    graph_bytes: Option<bytes::Bytes>,
+    frozen: Option<FrozenModel>,
+    item_pool: Vec<NodeId>,
     pub(crate) config: ServingConfig,
-    pub(crate) seed: u64,
-    pub(crate) metrics: Option<Arc<MetricsRegistry>>,
-    pub(crate) fault: Option<Arc<FaultInjector>>,
+    seed: u64,
+    metrics: Option<Arc<MetricsRegistry>>,
+    fault: Option<Arc<FaultInjector>>,
 }
 
 impl ServerBuilder {
@@ -308,15 +545,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Shard/replica layout, equivalent to setting
-    /// [`ServingConfig::sharding`]. Read by
-    /// [`crate::sharded::ShardedServer::build`]; a plain
-    /// [`ServerBuilder::build`] validates it but serves single-shard.
-    pub fn sharding(mut self, sharding: ShardingConfig) -> Self {
-        self.config.sharding = sharding;
-        self
-    }
-
     /// Attach an observability registry: per-stage latency histograms,
     /// request counters, and ANN probe-volume counters all report into it.
     /// Without one the server still runs a private disabled registry, so the
@@ -335,156 +563,191 @@ impl ServerBuilder {
         self
     }
 
-    /// Validate the inputs and build the server: embed every pool item
-    /// through the frozen item tower and construct the inverted ANN index
-    /// (§VI's offline-to-online hand-off).
+    /// Validate the inputs and build a single-shard server (§VI's
+    /// offline-to-online hand-off); [`ServingConfig::sharding`] is checked
+    /// but not acted on.
     pub fn build(self) -> Result<OnlineServer, ServingError> {
-        // Resolve the graph: an in-process handle wins; otherwise decode the
-        // snapshot bytes here, timing the decode (the v2 format makes this a
-        // section-table walk plus bulk copies — see `zoomer_graph::snapshot`).
-        let mut snapshot_load_ns = None;
+        let (front, mut shards) = self.assemble(1)?;
+        let shard = shards.pop().ok_or(ServingError::Internal("build produced no shard"))?;
+        Ok(OnlineServer { front: Arc::new(front), shard })
+    }
+
+    /// The one build path behind [`ServerBuilder::build`] and
+    /// [`ShardedServer::build`](crate::sharded::ShardedServer::build):
+    /// resolve the graph and the towers, validate, partition the item pool
+    /// by [`shard_of_node`], and stand one [`RankShard`] up per partition —
+    /// backend over the partition's item-tower embeddings, postings ranked
+    /// against it, `cache_capacity / num_shards` cache entries. Everything
+    /// that depends on the graph alone (the snapshot decode, each query's
+    /// base embedding, the term layer) happens once, whatever the shard
+    /// count.
+    pub(crate) fn assemble(
+        self,
+        num_shards: usize,
+    ) -> Result<(FrontHalf, Vec<Arc<RankShard>>), ServingError> {
+        let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
+        // An in-process handle wins; otherwise decode the snapshot bytes
+        // here, timing the decode (the v2 format makes this a section-table
+        // walk plus bulk copies — see `zoomer_graph::snapshot`).
         let graph = match (self.graph, self.graph_bytes) {
             (Some(g), _) => g,
             (None, Some(raw)) => {
                 let started = Instant::now();
                 let g = zoomer_graph::read_snapshot(raw)?;
-                snapshot_load_ns = Some(started.elapsed().as_nanos() as u64);
+                registry
+                    .histogram("serve.snapshot.load_ns")
+                    .record(started.elapsed().as_nanos() as u64);
                 Arc::new(g)
             }
             (None, None) => {
                 return Err(ServingError::InvalidConfig("server builder needs a graph"))
             }
         };
-        let frozen: Arc<FrozenModel> = match (self.frozen_shared, self.frozen) {
-            (Some(shared), _) => shared,
-            (None, Some(owned)) => Arc::new(owned),
-            (None, None) => {
-                return Err(ServingError::InvalidConfig("server builder needs a frozen model"))
-            }
-        };
+        let frozen = Arc::new(
+            self.frozen
+                .ok_or(ServingError::InvalidConfig("server builder needs a frozen model"))?,
+        );
         let config = self.config;
+        config.validate()?;
         if self.item_pool.is_empty() {
             return Err(ServingError::InvalidConfig("cannot serve an empty item pool"));
-        }
-        if config.top_k == 0 {
-            return Err(ServingError::InvalidConfig("top_k must be positive"));
-        }
-        if config.nprobe == 0 || config.nlist == 0 {
-            return Err(ServingError::InvalidConfig("nprobe and nlist must be positive"));
-        }
-        if config.backend == BackendKind::Proximity
-            && (config.graph_degree == 0 || config.beam_width == 0)
-        {
-            return Err(ServingError::InvalidConfig(
-                "graph_degree and beam_width must be positive",
-            ));
-        }
-        if config.backend == BackendKind::Quantized && config.rerank_factor == 0 {
-            return Err(ServingError::InvalidConfig("rerank_factor must be positive"));
-        }
-        if config.cache_capacity == 0 {
-            return Err(ServingError::InvalidConfig("cache_capacity must be positive"));
-        }
-        if config.sharding.num_shards == 0 || config.sharding.replicas_per_shard == 0 {
-            return Err(ServingError::InvalidConfig(
-                "sharding needs at least one shard and one replica",
-            ));
         }
         let num_nodes = graph.num_nodes();
         if let Some(&node) = self.item_pool.iter().find(|&&i| i as usize >= num_nodes) {
             return Err(ServingError::NodeOutOfRange { node, num_nodes });
         }
-        // Item tower over the whole pool as one stacked matmul.
-        let item_matrix = frozen.item_embeddings(&self.item_pool);
-        let items: Vec<(u64, Vec<f32>)> = self
-            .item_pool
-            .iter()
-            .enumerate()
-            .map(|(r, &i)| (i as u64, item_matrix.row(r).to_vec()))
-            .collect();
-        // Stand the configured retrieval backend up over the pool.
-        let mut backend = match config.backend {
-            BackendKind::Ivf => {
-                // Size the coarse quantizer to the pool (≈√N, capped by
-                // config) so small pools keep enough candidates per probe.
-                let nlist = config.nlist.min(((items.len() as f64).sqrt().ceil()) as usize).max(1);
-                let index = IvfIndex::build(&items, nlist, 8, self.seed);
-                Backend::Ivf(IvfBackend::new(index, config.nprobe, config.build_nprobe))
-            }
-            BackendKind::Quantized => {
-                // Same coarse-quantizer sizing as IVF: the quantized index
-                // adopts an IVF partition, so equal configs probe the same
-                // lists and recall deltas measure quantization alone.
-                let nlist = config.nlist.min(((items.len() as f64).sqrt().ceil()) as usize).max(1);
-                Backend::Quantized(QuantizedIvf::build(
-                    &items,
-                    nlist,
-                    8,
-                    self.seed,
-                    config.nprobe,
-                    config.rerank_factor,
-                ))
-            }
-            BackendKind::Exact => Backend::Exact(ExactSearch::build(&items)),
-            BackendKind::Proximity => Backend::Proximity(ProximityGraph::build(
-                &items,
-                config.graph_degree,
-                config.beam_width,
-            )),
-        };
+        // Every shard must own at least one item or its backend would be
+        // un-buildable.
+        let mut pools: Vec<Vec<NodeId>> = vec![Vec::new(); num_shards];
+        for &item in &self.item_pool {
+            pools[shard_of_node(item, num_shards)].push(item);
+        }
+        if pools.iter().any(Vec::is_empty) {
+            return Err(ServingError::InvalidConfig(
+                "a shard owns no items; use fewer shards or a larger item pool",
+            ));
+        }
+        let mut backends: Vec<Backend> =
+            pools.iter().map(|pool| build_backend(&frozen, pool, &config, self.seed)).collect();
+
         // Second retrieval layer: per-query postings ranked by the frozen
         // item tower against the query's own online embedding (with no
         // cached neighborhood that embedding is the query's base vector).
         // Queries are chunked into batched probes and the chunks run in
-        // parallel. This ranking is offline, so the backend may afford a
-        // wider budget than the serving path (IVF probes at least
-        // `build_nprobe` lists regardless of the serving-path `nprobe`).
-        let queries: Vec<NodeId> = graph.nodes_of_type(zoomer_graph::NodeType::Query);
+        // parallel; each chunk is embedded once and ranked against every
+        // partition. This ranking is offline, so the backend may afford a
+        // wider budget than the serving path (`offline_rank_batch`).
+        let queries: Vec<NodeId> = graph.nodes_of_type(NodeType::Query);
         let chunks: Vec<&[NodeId]> = queries.chunks(64).collect();
-        let postings: Vec<Result<QueryPostings, ServingError>> = chunks
+        let ranked: Vec<Result<Vec<QueryPostings>, ServingError>> = chunks
             .par_iter()
             .map(|chunk| {
                 let mut embs = Matrix::zeros(chunk.len(), frozen.embed_dim());
                 for (r, &q) in chunk.iter().enumerate() {
                     embs.row_mut(r).copy_from_slice(&frozen.online_embedding(q, &[], &[]));
                 }
-                Ok(backend
-                    .offline_rank_batch(&embs, config.top_k)?
-                    .into_iter()
-                    .zip(chunk.iter())
-                    .map(|(ranked, &q)| {
-                        (q, ranked.into_iter().map(|(id, _)| id as NodeId).collect())
+                backends
+                    .iter()
+                    .map(|backend| {
+                        Ok(backend
+                            .offline_rank_batch(&embs, config.top_k)?
+                            .into_iter()
+                            .zip(chunk.iter())
+                            .map(|(ranked, &q)| {
+                                (q, ranked.into_iter().map(|(id, _)| id as NodeId).collect())
+                            })
+                            .collect())
                     })
-                    .collect())
+                    .collect()
             })
             .collect();
-        let mut inverted = InvertedIndex::new(&graph);
-        for chunk_postings in postings {
-            for (q, ranked) in chunk_postings? {
-                if !ranked.is_empty() {
-                    inverted.set_posting(q, ranked);
+        let terms = InvertedIndex::new(&graph);
+        let mut inverted: Vec<InvertedIndex> =
+            backends.iter().map(|_| terms.sharing_terms()).collect();
+        for chunk_postings in ranked {
+            for (index, postings) in inverted.iter_mut().zip(chunk_postings?) {
+                for (q, ranked) in postings {
+                    if !ranked.is_empty() {
+                        index.set_posting(q, ranked);
+                    }
                 }
             }
         }
         // Attach probe-volume counters only now, after the offline posting
         // ranking, so serve-time metrics are not polluted by build work.
-        let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        backend.attach_metrics(&registry);
-        if let Some(ns) = snapshot_load_ns {
-            registry.histogram("serve.snapshot.load_ns").record(ns);
+        for backend in &mut backends {
+            backend.attach_metrics(&registry);
         }
-        Ok(OnlineServer {
+        let cache_capacity = (config.cache_capacity / num_shards).max(1);
+        let shards = backends
+            .into_iter()
+            .zip(inverted)
+            .map(|(backend, inverted)| {
+                Arc::new(RankShard::new(
+                    backend,
+                    inverted,
+                    config,
+                    cache_capacity,
+                    &registry,
+                    self.fault.clone(),
+                ))
+            })
+            .collect();
+        let front = FrontHalf {
             graph,
             frozen,
-            backend: Arc::new(backend),
-            inverted: Arc::new(inverted),
-            cache: Arc::new(NeighborCache::with_capacity(config.cache_k, config.cache_capacity)),
             config,
             sampler: FocalBiasedSampler::default(),
-            metrics: Arc::new(ServerMetrics::new(registry)),
             fault: self.fault,
-        })
+            metrics: FrontMetrics::new(registry),
+        };
+        Ok((front, shards))
     }
+}
+
+/// Embed one item partition through the frozen item tower (one stacked
+/// matmul) and stand the configured retrieval backend up over it.
+fn build_backend(
+    frozen: &FrozenModel,
+    pool: &[NodeId],
+    config: &ServingConfig,
+    seed: u64,
+) -> Backend {
+    let item_matrix = frozen.item_embeddings(pool);
+    let items: Vec<(u64, Vec<f32>)> =
+        pool.iter().enumerate().map(|(r, &i)| (i as u64, item_matrix.row(r).to_vec())).collect();
+    // Size the coarse quantizer to the pool (≈√N, capped by config) so small
+    // pools keep enough candidates per probe. The quantized index adopts the
+    // same IVF partition, so equal configs probe the same lists and recall
+    // deltas measure quantization alone.
+    let nlist = config.nlist.min(((items.len() as f64).sqrt().ceil()) as usize).max(1);
+    match config.backend {
+        BackendKind::Ivf => {
+            Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, nlist, 8, seed), config.nprobe))
+        }
+        BackendKind::Quantized => Backend::Quantized(QuantizedIvf::build(
+            &items,
+            nlist,
+            8,
+            seed,
+            config.nprobe,
+            config.rerank_factor,
+        )),
+        BackendKind::Exact => Backend::Exact(ExactSearch::build(&items)),
+        BackendKind::Proximity => Backend::Proximity(ProximityGraph::build(
+            &items,
+            config.graph_degree,
+            config.beam_width,
+        )),
+    }
+}
+
+/// A shareable (`Arc`-cloneable, `&self`) online retrieval server: the
+/// front half plus one rank shard over the whole item pool, called inline.
+#[derive(Clone)]
+pub struct OnlineServer {
+    front: Arc<FrontHalf>,
+    shard: Arc<RankShard>,
 }
 
 impl OnlineServer {
@@ -493,138 +756,51 @@ impl OnlineServer {
         ServerBuilder::default()
     }
 
-    /// Reject any request node id outside the loaded graph before it can
-    /// reach code that indexes adjacency or feature arrays.
-    pub(crate) fn validate_nodes(
-        &self,
-        nodes: impl IntoIterator<Item = NodeId>,
-    ) -> Result<(), ServingError> {
-        let num_nodes = self.graph.num_nodes();
-        for node in nodes {
-            if node as usize >= num_nodes {
-                return Err(ServingError::NodeOutOfRange { node, num_nodes });
-            }
-        }
-        Ok(())
-    }
-
     /// Term-based retrieval fallback (cold users / no dense request vector):
     /// look the terms up in the two-layer inverted index.
     pub fn handle_by_terms(&self, terms: &[u32]) -> Vec<NodeId> {
-        self.inverted.retrieve_by_terms(terms, self.config.top_k)
+        self.shard.inverted().retrieve_by_terms(terms, self.front.config.top_k)
     }
 
+    /// Two-layer term → query → item index (§VII-E's iGraph layout) used by
+    /// term retrieval and the fallback rung.
     pub fn inverted(&self) -> &InvertedIndex {
-        &self.inverted
+        self.shard.inverted()
     }
 
     pub fn config(&self) -> ServingConfig {
-        self.config
+        self.front.config
     }
 
     pub fn cache(&self) -> &NeighborCache {
-        &self.cache
+        self.shard.cache()
     }
 
     /// The retrieval backend this server probes (enum-dispatched; use
     /// [`Backend::as_ivf`] to reach IVF-specific knobs when the configured
     /// backend is IVF).
     pub fn backend(&self) -> &Backend {
-        &self.backend
+        self.shard.backend()
     }
 
     pub fn graph(&self) -> &HeteroGraph {
-        &self.graph
+        self.front.graph()
     }
 
     /// The observability registry this server reports into (the one passed
     /// to [`ServerBuilder::metrics`], or a private disabled one).
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
+        self.front.metrics_registry()
     }
 
-    /// Point-in-time snapshot of every metric, with the neighbor cache's
-    /// counters ingested first so hits/misses/refreshes appear next to the
-    /// stage timings.
+    /// Point-in-time snapshot of every metric, cache counters included.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.metrics.registry.ingest_cache("cache", self.cache.stats());
-        self.metrics.registry.snapshot()
+        self.front.metrics_snapshot(self.shards())
     }
 
-    /// Resolve the user/query neighborhoods for a whole batch.
-    ///
-    /// Cached path: one `get_many` read-lock sweep over every node in the
-    /// batch, one `insert_many` write for the misses. Cache entries are
-    /// always the node's neutral-focal top-k ([`neutral_topk_neighbors`] —
-    /// the same definition `warm_cache` and offline eval use), so an entry
-    /// never depends on which request happened to materialize it.
-    ///
-    /// `disable_cache` (ablation) samples fresh per request under the
-    /// request's own focal context, like the paper's no-cache variant.
-    pub(crate) fn resolve_neighbors(
-        &self,
-        requests: &[Query],
-    ) -> Result<Vec<NeighborPair>, ServingError> {
-        if self.config.disable_cache {
-            return Ok(requests
-                .iter()
-                .map(|r| {
-                    let (u, q) = r.pair();
-                    let ctx = FocalContext::for_request(&self.graph, u, q);
-                    let sample = |n: NodeId| {
-                        let mut rng = seeded_rng(n as u64);
-                        let mut fresh = self.sampler.sample(
-                            &self.graph,
-                            n,
-                            &ctx,
-                            self.config.cache_k,
-                            &mut rng,
-                        );
-                        fresh.truncate(self.config.cache_k);
-                        Arc::new(fresh)
-                    };
-                    (sample(u), sample(q))
-                })
-                .collect());
-        }
-        let nodes: Vec<NodeId> = requests.iter().flat_map(|r| [r.user, r.query]).collect();
-        let found = self.cache.get_many(&nodes);
-        let mut seen = HashSet::new();
-        let missing: Vec<NodeId> = nodes
-            .iter()
-            .zip(&found)
-            .filter(|(n, f)| f.is_none() && seen.insert(**n))
-            .map(|(&n, _)| n)
-            .collect();
-        let computed: Vec<(NodeId, Vec<NodeId>)> = missing
-            .iter()
-            .map(|&n| (n, neutral_topk_neighbors(&self.graph, n, self.config.cache_k)))
-            .collect();
-        let inserted = self.cache.insert_many(computed);
-        let filled: std::collections::HashMap<NodeId, Arc<Vec<NodeId>>> =
-            missing.into_iter().zip(inserted).collect();
-        let resolve = |i: usize| -> Result<Arc<Vec<NodeId>>, ServingError> {
-            match &found[i] {
-                Some(hit) => Ok(Arc::clone(hit)),
-                None => filled
-                    .get(&nodes[i])
-                    .map(Arc::clone)
-                    .ok_or(ServingError::Internal("cache miss sweep lost a node")),
-            }
-        };
-        (0..requests.len()).map(|i| Ok((resolve(2 * i)?, resolve(2 * i + 1)?))).collect()
-    }
-
-    /// The per-query result size: the request's own `top_k` when set, the
-    /// server default otherwise (`top_k == 0` is the tuple-era "whatever the
-    /// server is configured for").
-    #[inline]
-    pub(crate) fn effective_top_k(&self, q: &Query) -> usize {
-        if q.top_k == 0 {
-            self.config.top_k
-        } else {
-            q.top_k as usize
-        }
+    /// The single shard as the one-partition slice the front half takes.
+    fn shards(&self) -> &[Arc<RankShard>] {
+        std::slice::from_ref(&self.shard)
     }
 
     /// Handle a batch of retrieval requests: one [`Retrieval`] per
@@ -638,7 +814,7 @@ impl OnlineServer {
     /// The batch runs under the configured [`ServingConfig::deadline`] (if
     /// any), started at the moment this call admits the batch.
     pub fn handle_batch(&self, queries: &[Query]) -> Result<Vec<Retrieval>, ServingError> {
-        self.handle_batch_with_deadline(queries, Deadline::from_config(self.config.deadline))
+        self.handle_batch_with_deadline(queries, Deadline::from_config(self.front.config.deadline))
     }
 
     /// [`Self::handle_batch`] under an explicit, possibly already-running
@@ -656,306 +832,62 @@ impl OnlineServer {
         queries: &[Query],
         deadline: Deadline,
     ) -> Result<Vec<Retrieval>, ServingError> {
-        Ok(self
-            .handle_batch_scored(queries, deadline)?
-            .into_iter()
-            .map(ScoredRetrieval::into_retrieval)
-            .collect())
+        self.handle_batch_scored(queries, deadline).map(into_retrievals)
     }
 
-    /// The full request path, keeping scores: what a scatter-gather shard
-    /// returns to the router so per-shard top-k lists can be merged by
-    /// score. [`Self::handle_batch_with_deadline`] is exactly this with the
-    /// scores dropped, so the scored and unscored paths can never diverge.
+    /// The full request path, keeping scores.
+    /// [`Self::handle_batch_with_deadline`] is exactly this with the scores
+    /// dropped, so the scored and unscored paths can never diverge.
     pub fn handle_batch_scored(
         &self,
         queries: &[Query],
         deadline: Deadline,
     ) -> Result<Vec<ScoredRetrieval>, ServingError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.validate_nodes(queries.iter().flat_map(|r| [r.user, r.query]))?;
-        let m = &*self.metrics;
-        if deadline.expired() {
-            m.deadline_exceeded.inc();
-            return Err(ServingError::DeadlineExceeded { stage: "admission" });
-        }
-        m.batches.inc();
-        m.requests.add(queries.len() as u64);
-
-        self.fire_fault(FaultSite::CacheResolve);
-        let t = StageTimer::start(&m.stage_cache);
-        let neighbors = self.resolve_neighbors(queries)?;
-        t.stop();
-        if deadline.expired() {
-            return Ok(self.degraded_fallback_batch(queries));
-        }
-
-        self.fire_fault(FaultSite::Embed);
-        let t = StageTimer::start(&m.stage_embed);
-        let neighbor_slices: Vec<(&[NodeId], &[NodeId])> =
-            neighbors.iter().map(|(u, q)| (u.as_slice(), q.as_slice())).collect();
-        let uq = self.frozen.embed_requests(&self.graph, queries, &neighbor_slices);
-        t.stop();
-
-        self.rank_scored(&uq, queries, &deadline)
-    }
-
-    /// Probe + rank the already-embedded batch: the back half of
-    /// [`Self::handle_batch_scored`], from the ANN probe onward. Split out
-    /// so a scatter-gather shard worker can run exactly this code over its
-    /// own partitioned backend against router-computed embeddings — any
-    /// drift between the sharded and single-shard rank paths would be a
-    /// second copy of this function, so there is none.
-    pub(crate) fn rank_scored(
-        &self,
-        uq: &Matrix,
-        queries: &[Query],
-        deadline: &Deadline,
-    ) -> Result<Vec<ScoredRetrieval>, ServingError> {
-        let rung = BrownoutRung::select(deadline, self.ann_cost_ewma_ns());
-        self.rank_scored_at(uq, queries, deadline, rung)
-    }
-
-    /// [`Self::rank_scored`] at a rung chosen by the caller instead of this
-    /// server's own EWMA — how the scatter-gather router imposes one
-    /// worst-shard rung on every shard of a batch. Execution stays
-    /// *adaptive*: a `CapBudget` batch runs the self-measuring round-major
-    /// probe and only degrades if the budget actually runs out, so a
-    /// prescribed rung never makes a batch worse than its deadline demands.
-    pub(crate) fn rank_scored_at(
-        &self,
-        uq: &Matrix,
-        queries: &[Query],
-        deadline: &Deadline,
-        rung: BrownoutRung,
-    ) -> Result<Vec<ScoredRetrieval>, ServingError> {
-        // The fault fires before the expiry check so an injected ANN-stage
-        // spike deterministically exercises the fallback path.
-        self.fire_fault(FaultSite::AnnProbe);
-        if rung == BrownoutRung::Fallback || deadline.expired() {
-            return Ok(self.degraded_fallback_batch(queries));
-        }
-        self.rank_at_rung(uq, queries, deadline, rung, false)
-    }
-
-    /// The shared back half of the organic ([`Self::rank_scored_at`]) and
-    /// forced ([`Self::handle_batch_scored_forced`]) ladders: probe at the
-    /// rung's width, count the rung realized, truncate/widen per row.
-    /// `forced` switches `CapBudget` from the adaptive round-major probe to
-    /// the prescriptive floor probe and keeps the EWMA unpolluted.
-    fn rank_at_rung(
-        &self,
-        uq: &Matrix,
-        queries: &[Query],
-        deadline: &Deadline,
-        rung: BrownoutRung,
-        forced: bool,
-    ) -> Result<Vec<ScoredRetrieval>, ServingError> {
-        let m = &*self.metrics;
-        // The backend probe runs once per batch at the widest k any query in
-        // the batch asked for; narrower queries truncate their own row. With
-        // every query at the default this is exactly the old single-k probe.
-        // Shrinking rungs shrink at truncate time, not probe time: a top-k
-        // probe's first k/2 entries are exactly the top-k/2 probe, so the
-        // single wide probe serves every rung.
-        let batch_k = queries.iter().map(|q| self.effective_top_k(q)).max().unwrap_or(0);
-        let t = StageTimer::start(&m.stage_ann);
-        let (found, capped) = match (rung, forced) {
-            (BrownoutRung::CapBudget, false) => self.probe_bounded(uq, batch_k, deadline)?,
-            (BrownoutRung::CapBudget, true) => {
-                let floor = self.backend.search_batch_floor(uq, batch_k)?;
-                let capped = floor.capped();
-                (floor.results, capped)
-            }
-            _ => {
-                let probe = self.probe_timed(uq, batch_k, deadline, forced)?;
-                (probe, false)
-            }
-        };
-        t.stop();
-
-        // The rung this batch *realized*: an adaptive `CapBudget` probe that
-        // never hit its budget is a full-width probe — the batch served at
-        // `Full` and counts nothing (this is what keeps a generous deadline
-        // byte-identical to no deadline). Only the realized rung's counter
-        // moves, so the `serve.degraded.*` family partitions degraded
-        // batches instead of double-counting them.
-        let realized = if rung == BrownoutRung::CapBudget && !capped && !forced {
-            BrownoutRung::Full
-        } else {
-            rung
-        };
-        match realized {
-            BrownoutRung::Full => {}
-            BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
-            BrownoutRung::ShrinkTopK => m.degraded_topk.inc(),
-            BrownoutRung::CapBudget => {
-                m.degraded_budget.inc();
-                m.degraded_nprobe.inc();
-            }
-            // Fallback never reaches the probe path.
-            BrownoutRung::Fallback => {}
-        }
-
-        let t = StageTimer::start(&m.stage_rank);
-        let mut out = Vec::with_capacity(found.len());
-        // Only a Full-rung batch widens: the exact scan exists to fill
-        // under-full result lists and costs O(pool), exactly the work every
-        // degraded rung exists to avoid.
-        let widen = realized.widens() && !deadline.expired();
-        for (i, mut f) in found.into_iter().enumerate() {
-            let k = realized.shrunk_k(self.effective_top_k(&queries[i]));
-            f.truncate(k);
-            if widen && f.len() < k && f.len() < self.backend.len() {
-                // Under-filled probe set (small pool, skewed clusters, or a
-                // narrow beam): widen to an exact scan rather than return a
-                // short list.
-                f = self.backend.exact_search(uq.row(i), k)?;
-            }
-            out.push(ScoredRetrieval { items: f, degraded: realized != BrownoutRung::Full });
-        }
-        t.stop();
-        Ok(out)
-    }
-
-    #[inline]
-    fn fire_fault(&self, site: FaultSite) {
-        if let Some(f) = &self.fault {
-            f.fire(site);
-        }
-    }
-
-    /// The adaptive at-risk probe (`CapBudget` rung, organic): round-major
-    /// with a between-rounds expiry check, stopping early if the budget
-    /// runs out — a capped probe equals a plain probe at the backend's
-    /// smaller budget (`nprobe` for IVF, beam width for the proximity
-    /// graph), trading recall for latency. Returns the per-query candidates
-    /// and whether the probe was actually capped; feeds the EWMA either way.
-    fn probe_bounded(&self, uq: &Matrix, top_k: usize, deadline: &Deadline) -> BudgetedProbe {
-        let m = &*self.metrics;
-        let ewma = m.ann_ewma_ns.load(Ordering::Relaxed);
-        let t0 = Instant::now();
-        let bounded = self.backend.search_batch_deadline(uq, top_k, deadline, &mut |_| {
-            self.fire_fault(FaultSite::AnnRound)
-        })?;
-        let capped = bounded.capped();
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        m.ann_ewma_ns.store(if ewma == 0 { ns } else { (3 * ewma + ns) / 4 }, Ordering::Relaxed);
-        Ok((bounded.results, capped))
-    }
-
-    /// The plain full-width probe, timed into the EWMA when a bounded
-    /// deadline is watching (forced rungs measure nothing: a bench sweep
-    /// must not teach the server that probes are cheap or dear).
-    fn probe_timed(
-        &self,
-        uq: &Matrix,
-        top_k: usize,
-        deadline: &Deadline,
-        forced: bool,
-    ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        if forced || !deadline.is_bounded() {
-            return self.backend.search_batch(uq, top_k);
-        }
-        let m = &*self.metrics;
-        let ewma = m.ann_ewma_ns.load(Ordering::Relaxed);
-        let t0 = Instant::now();
-        let found = self.backend.search_batch(uq, top_k)?;
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        m.ann_ewma_ns.store(if ewma == 0 { ns } else { (3 * ewma + ns) / 4 }, Ordering::Relaxed);
-        Ok(found)
-    }
-
-    /// EWMA of recent ANN-probe cost in ns (0 until a bounded-deadline batch
-    /// has run). The scatter-gather router reads every shard's EWMA and
-    /// drives the whole batch at the worst shard's rung.
-    pub fn ann_cost_ewma_ns(&self) -> u64 {
-        self.metrics.ann_ewma_ns.load(Ordering::Relaxed)
-    }
-
-    /// Budget-spent fallback: answer every request from the inverted index
-    /// alone (term/posting lookup, no embedding or ANN work), truncated to
-    /// the request's top-k. Requests with no posting get an empty list — a
-    /// degraded answer within the deadline beats a complete answer after it.
-    ///
-    /// Fallback answers carry synthetic descending rank scores (`-rank`):
-    /// the posting list is an ordering, not a scoring, and the router only
-    /// needs scores that preserve that order when it merges shards.
-    pub(crate) fn degraded_fallback_batch(&self, requests: &[Query]) -> Vec<ScoredRetrieval> {
-        self.metrics.degraded_fallback.add(requests.len() as u64);
-        requests
-            .iter()
-            .map(|r| {
-                let items = self
-                    .inverted
-                    .posting(r.query)
-                    .map(|p| {
-                        p.iter()
-                            .take(self.effective_top_k(r))
-                            .enumerate()
-                            .map(|(rank, &id)| (id as u64, -(rank as f32)))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                ScoredRetrieval { items, degraded: true }
-            })
-            .collect()
+        self.serve(queries, &deadline, None)
     }
 
     /// Serve a batch at a **prescribed** [`BrownoutRung`], bypassing the
     /// budget-driven selection: the harness entry point behind the
     /// `brownout_ladder` domination proptest and `fig_overload`'s per-rung
-    /// sweep. `CapBudget` probes the backend's floor width
-    /// ([`SearchBackend::search_batch_floor`]) rather than the adaptive
-    /// round-major probe, so the rung means the same thing on every run; no
-    /// rung here feeds the cost EWMA. Rung counters move exactly as an
-    /// organic batch at the same rung would move them.
+    /// sweep. The batch runs the ordinary path under no deadline; only the
+    /// rung's origin differs (see `RankShard::rank` for what a forced
+    /// rung changes in the probe). Rung counters move exactly as an organic
+    /// batch at the same rung would move them.
     pub fn handle_batch_scored_forced(
         &self,
         queries: &[Query],
         rung: BrownoutRung,
     ) -> Result<Vec<ScoredRetrieval>, ServingError> {
+        self.serve(queries, &Deadline::none(), Some(rung))
+    }
+
+    /// Front half, then the one shard inline at the `forced` rung or the
+    /// one its own probe-cost EWMA selects, then the degraded count.
+    fn serve(
+        &self,
+        queries: &[Query],
+        deadline: &Deadline,
+        forced: Option<BrownoutRung>,
+    ) -> Result<Vec<ScoredRetrieval>, ServingError> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.validate_nodes(queries.iter().flat_map(|r| [r.user, r.query]))?;
-        let m = &*self.metrics;
-        m.batches.inc();
-        m.requests.add(queries.len() as u64);
-        if rung == BrownoutRung::Fallback {
-            return Ok(self.degraded_fallback_batch(queries));
-        }
-        let neighbors = self.resolve_neighbors(queries)?;
-        let neighbor_slices: Vec<(&[NodeId], &[NodeId])> =
-            neighbors.iter().map(|(u, q)| (u.as_slice(), q.as_slice())).collect();
-        let uq = self.frozen.embed_requests(&self.graph, queries, &neighbor_slices);
-        self.rank_at_rung(&uq, queries, &Deadline::none(), rung, true)
+        let ranked = match self.front.prepare(self.shards(), queries, deadline)? {
+            Some(uq) => {
+                let rung = forced.unwrap_or_else(|| {
+                    BrownoutRung::select(deadline, self.shard.probe_cost_ewma_ns())
+                });
+                self.shard.rank(&uq, queries, deadline, rung, forced.is_some())?
+            }
+            None => self.shard.fallback(queries),
+        };
+        self.front.count_degraded(ranked.realized, queries.len());
+        Ok(ranked.rows)
     }
 
-    /// Warm the cache for a set of nodes (deployment pre-fill). Fills the
-    /// same neutral-focal entries the request path computes on a miss, so
-    /// pre-warmed and cold-started servers serve identical results.
+    /// Warm the cache for a set of nodes (deployment pre-fill).
     pub fn warm_cache(&self, nodes: &[NodeId]) -> Result<(), ServingError> {
-        if self.config.disable_cache {
-            return Ok(());
-        }
-        self.validate_nodes(nodes.iter().copied())?;
-        let found = self.cache.get_many(nodes);
-        let mut seen = HashSet::new();
-        let missing: Vec<NodeId> = nodes
-            .iter()
-            .zip(&found)
-            .filter(|(n, f)| f.is_none() && seen.insert(**n))
-            .map(|(&n, _)| n)
-            .collect();
-        let computed: Vec<(NodeId, Vec<NodeId>)> = missing
-            .par_iter()
-            .map(|&n| (n, neutral_topk_neighbors(&self.graph, n, self.config.cache_k)))
-            .collect();
-        self.cache.insert_many(computed);
-        Ok(())
+        self.front.warm_cache(self.shards(), nodes)
     }
 }
 
@@ -1099,6 +1031,11 @@ mod tests {
         );
         assert!(one(&server, log.user, bogus).is_err());
         assert!(server.warm_cache(&[bogus]).is_err());
+        // So must a result size past the per-query bound.
+        let err = server
+            .handle_batch(&[Query::new(log.user, log.query).with_top_k(MAX_TOP_K + 1)])
+            .expect_err("out-of-range top_k must be rejected");
+        assert_eq!(err, ServingError::TopKOutOfRange { top_k: MAX_TOP_K + 1, max: MAX_TOP_K });
         // ...while subsequent well-formed batches serve identically.
         let after = one(&server, log.user, log.query).expect("server must keep serving");
         assert_eq!(before, after, "rejected request must not perturb server state");
@@ -1532,42 +1469,6 @@ mod tests {
             Some(5 * items.len() as u64),
             "the exact backend scores the whole pool per query"
         );
-    }
-
-    #[test]
-    fn build_nprobe_controls_the_offline_posting_probe() {
-        // Regression for the hidden `nprobe.max(4)`: the *effective* build
-        // probe is `nprobe.max(build_nprobe)`, so swapping the two values
-        // must rank identical postings even though the serving-path nprobe
-        // differs. Before the fix, `build_nprobe` did not exist and a small
-        // nprobe was silently widened to 4 with no way to turn that off.
-        let (_, graph, frozen, items) = fixture(85);
-        let wide = graph.nodes_of_type(zoomer_graph::NodeType::Query).len().max(8);
-        let narrow_serve = OnlineServer::builder()
-            .graph(Arc::clone(&graph))
-            .frozen(frozen.clone())
-            .item_pool(&items)
-            .config(ServingConfig { nprobe: 1, build_nprobe: wide, ..Default::default() })
-            .seed(85)
-            .build()
-            .expect("build");
-        let wide_serve = OnlineServer::builder()
-            .graph(Arc::clone(&graph))
-            .frozen(frozen)
-            .item_pool(&items)
-            .config(ServingConfig { nprobe: wide, build_nprobe: 1, ..Default::default() })
-            .seed(85)
-            .build()
-            .expect("build");
-        let queries = graph.nodes_of_type(zoomer_graph::NodeType::Query);
-        assert!(!queries.is_empty());
-        for &q in &queries {
-            assert_eq!(
-                narrow_serve.inverted().posting(q),
-                wide_serve.inverted().posting(q),
-                "query {q}: build-time probe must be nprobe.max(build_nprobe)"
-            );
-        }
     }
 
     #[test]

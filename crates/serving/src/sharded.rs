@@ -3,47 +3,52 @@
 //!
 //! A [`ShardedServer`] partitions the *item pool* — and with it the
 //! retrieval backend, the per-query posting index, and the neighbor cache —
-//! across `N` shards using the exact node-id arithmetic of
+//! across `N` [`RankShard`]s using the exact node-id arithmetic of
 //! [`zoomer_graph::shard_of_node`], so graph storage and retrieval agree on
-//! ownership. Each shard is a full [`OnlineServer`] over its slice of the
-//! pool, drained by `replicas_per_shard` worker threads behind a bounded
-//! job channel.
+//! ownership. Each shard is drained by `replicas_per_shard` worker threads
+//! behind a bounded job channel.
 //!
-//! The router runs the request front half **once**: validate → partitioned
-//! cache resolve → one stacked embed through the shared frozen towers. The
-//! per-shard work is only the back half ([`OnlineServer::rank_scored`]):
-//! probe the shard's backend against the router's embeddings and rank its
-//! partition. Replies carry scores, so the router can merge per-shard
-//! top-k lists honestly through the same `topk::top_k_desc` every backend
-//! ranks with. At `N = 1` the merge input is a single already-sorted list
-//! and the whole path is bit-identical to [`OnlineServer::handle_batch`] —
-//! pinned by the `sharded_equivalence` proptest suite.
+//! The router is the same front half an [`OnlineServer`] runs (validate →
+//! admit → count → partitioned cache resolve → one stacked embed through
+//! the shared frozen towers), followed by a scatter instead of an inline
+//! call: every shard ranks the router's embeddings against its partition
+//! ([`RankShard`]'s `rank`). Replies carry scores and the rung the shard
+//! realized, so the router can merge per-shard top-k lists honestly through
+//! the same `topk::top_k_desc` every backend ranks with, and count the
+//! batch's degradation once. At `N = 1` the merge input is a single
+//! already-sorted list and the whole path is bit-identical to
+//! [`OnlineServer::handle_batch`] — pinned by the `sharded_equivalence`
+//! proptest suite.
 //!
 //! Failure model: a shard reply that errors (injected panic, backend
 //! fault) or misses the gather window (delay past the deadline grace)
 //! is counted in `serve.shard.replies_lost`; the router merges the shards
 //! that did answer and marks every affected query degraded. Only a batch
 //! with *no* surviving shard replies errors.
+//!
+//! [`OnlineServer`]: crate::server::OnlineServer
+//! [`OnlineServer::handle_batch`]: crate::server::OnlineServer::handle_batch
 
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Sender};
-use zoomer_graph::{shard_of_node, HeteroGraph, NodeId, Query, Retrieval};
+use zoomer_graph::{HeteroGraph, NodeId, Query, Retrieval};
 use zoomer_obs::{CacheStats, Counter, Histogram, MetricsRegistry, Snapshot, StageTimer};
 use zoomer_tensor::Matrix;
 
 use crate::brownout::BrownoutRung;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
-use crate::fault::{FaultInjector, FaultSite};
-use crate::frozen::{neutral_topk_neighbors, FrozenModel};
+use crate::fault::FaultSite;
 use crate::load::QueryService;
 use crate::router::merge_query;
-use crate::server::{OnlineServer, ScoredRetrieval, ServerBuilder, ServingConfig};
+use crate::server::{
+    cache_stats, into_retrievals, FrontHalf, ScoredRetrieval, ServerBuilder, ServingConfig,
+};
+use crate::shard::{RankShard, Ranked};
 
 /// Extra time the router waits past a bounded deadline for stragglers: the
 /// shards themselves degrade when the budget expires, so a reply is usually
@@ -54,9 +59,9 @@ const GATHER_GRACE: Duration = Duration::from_millis(100);
 /// shard's latency, it exists so a wedged worker cannot hang the router.
 const DEFAULT_GATHER_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One shard's answer: its index plus the scored rows (or the error that
-/// replaced them).
-type ShardReply = (usize, Result<Vec<ScoredRetrieval>, ServingError>);
+/// One shard's answer: its index plus what it ranked (or the error that
+/// replaced it).
+type ShardReply = (usize, Result<Ranked, ServingError>);
 
 /// A scattered unit of work: shared embeddings + queries, the batch
 /// deadline, the router-chosen brownout rung (every shard serves the batch
@@ -70,127 +75,36 @@ struct ShardJob {
     reply: mpsc::Sender<ShardReply>,
 }
 
-/// Router-side metric handles, registered once at build.
-struct RouterMetrics {
-    registry: Arc<MetricsRegistry>,
-    requests: Counter,
-    batches: Counter,
-    deadline_exceeded: Counter,
-    degraded_fallback: Counter,
+/// The scatter-gather serving tier: N item-pool shards behind one router.
+///
+/// Build with [`ShardedServer::build`] from the same [`ServerBuilder`] a
+/// single-shard server uses — the shard count comes from
+/// [`ServingConfig::sharding`].
+pub struct ShardedServer {
+    front: FrontHalf,
+    shards: Vec<Arc<RankShard>>,
+    job_txs: Vec<Sender<ShardJob>>,
+    workers: Vec<JoinHandle<()>>,
     /// Shard replies that errored or missed the gather window.
     replies_lost: Counter,
-    stage_cache: Histogram,
-    stage_embed: Histogram,
     /// Scatter + wait for shard replies, wall time per batch.
     gather_ns: Histogram,
     /// Per-shard top-k merge, wall time per batch.
     merge_ns: Histogram,
 }
 
-impl RouterMetrics {
-    fn new(registry: Arc<MetricsRegistry>) -> Self {
-        Self {
-            requests: registry.counter("serve.requests"),
-            batches: registry.counter("serve.batches"),
-            deadline_exceeded: registry.counter("serve.deadline_exceeded"),
-            degraded_fallback: registry.counter("serve.degraded.fallback"),
-            replies_lost: registry.counter("serve.shard.replies_lost"),
-            stage_cache: registry.histogram("serve.stage.cache_resolve_ns"),
-            stage_embed: registry.histogram("serve.stage.embed_ns"),
-            gather_ns: registry.histogram("serve.router.gather_ns"),
-            merge_ns: registry.histogram("serve.router.merge_ns"),
-            registry,
-        }
-    }
-}
-
-/// The scatter-gather serving tier: N item-pool shards behind one router.
-///
-/// Build with [`ShardedServer::build`] from the same [`ServerBuilder`] a
-/// single-shard server uses — the shard count comes from
-/// [`ServingConfig::sharding`] (see [`ServerBuilder::sharding`]).
-pub struct ShardedServer {
-    shards: Vec<Arc<OnlineServer>>,
-    job_txs: Vec<Sender<ShardJob>>,
-    workers: Vec<JoinHandle<()>>,
-    graph: Arc<HeteroGraph>,
-    frozen: Arc<FrozenModel>,
-    config: ServingConfig,
-    fault: Option<Arc<FaultInjector>>,
-    metrics: RouterMetrics,
-}
-
 impl ShardedServer {
-    /// Stand the sharded tier up: partition the item pool by
-    /// [`shard_of_node`], build one [`OnlineServer`] per shard (shared
-    /// graph, shared frozen towers, shared metrics registry, per-shard
-    /// cache capacity `cache_capacity / N`), and spawn
-    /// `replicas_per_shard` workers per shard.
+    /// Stand the sharded tier up: the shared build path
+    /// (`ServerBuilder::assemble`) with [`ServingConfig::sharding`]'s shard
+    /// count, then `replicas_per_shard` workers per shard.
     pub fn build(builder: ServerBuilder) -> Result<ShardedServer, ServingError> {
         let sharding = builder.config.sharding;
-        if sharding.num_shards == 0 || sharding.replicas_per_shard == 0 {
-            return Err(ServingError::InvalidConfig(
-                "sharding needs at least one shard and one replica",
-            ));
-        }
-        let num_shards = sharding.num_shards;
-        // Resolve the graph once (same resolution ServerBuilder::build runs).
-        let registry = builder.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        let graph = match (builder.graph, builder.graph_bytes) {
-            (Some(g), _) => g,
-            (None, Some(raw)) => {
-                let started = Instant::now();
-                let g = zoomer_graph::read_snapshot(raw)?;
-                registry
-                    .histogram("serve.snapshot.load_ns")
-                    .record(started.elapsed().as_nanos() as u64);
-                Arc::new(g)
-            }
-            (None, None) => {
-                return Err(ServingError::InvalidConfig("server builder needs a graph"))
-            }
-        };
-        let frozen: Arc<FrozenModel> = match (builder.frozen_shared, builder.frozen) {
-            (Some(shared), _) => shared,
-            (None, Some(owned)) => Arc::new(owned),
-            (None, None) => {
-                return Err(ServingError::InvalidConfig("server builder needs a frozen model"))
-            }
-        };
-        if builder.item_pool.is_empty() {
-            return Err(ServingError::InvalidConfig("cannot serve an empty item pool"));
-        }
-        // Partition the pool; every shard must own at least one item or its
-        // backend would be un-buildable.
-        let mut pools: Vec<Vec<NodeId>> = vec![Vec::new(); num_shards];
-        for &item in &builder.item_pool {
-            pools[shard_of_node(item, num_shards)].push(item);
-        }
-        if pools.iter().any(Vec::is_empty) {
-            return Err(ServingError::InvalidConfig(
-                "a shard owns no items; use fewer shards or a larger item pool",
-            ));
-        }
-        let mut shard_config = builder.config;
-        shard_config.cache_capacity = (builder.config.cache_capacity / num_shards).max(1);
-        let mut shards = Vec::with_capacity(num_shards);
-        for pool in &pools {
-            let mut b = OnlineServer::builder()
-                .graph(Arc::clone(&graph))
-                .item_pool(pool)
-                .config(shard_config)
-                .seed(builder.seed)
-                .metrics(Arc::clone(&registry));
-            b.frozen_shared = Some(Arc::clone(&frozen));
-            if let Some(f) = &builder.fault {
-                b = b.fault(Arc::clone(f));
-            }
-            shards.push(Arc::new(b.build()?));
-        }
+        let (front, shards) = builder.assemble(sharding.num_shards)?;
+        let registry = front.metrics_registry();
         // Per-shard worker pools behind bounded job queues: a slow shard
         // back-pressures its router callers instead of buffering unboundedly.
-        let mut job_txs = Vec::with_capacity(num_shards);
-        let mut workers = Vec::with_capacity(num_shards * sharding.replicas_per_shard);
+        let mut job_txs = Vec::with_capacity(shards.len());
+        let mut workers = Vec::with_capacity(shards.len() * sharding.replicas_per_shard);
         for (idx, shard) in shards.iter().enumerate() {
             let (tx, rx) = channel::bounded::<ShardJob>(sharding.replicas_per_shard * 2);
             job_txs.push(tx);
@@ -205,19 +119,17 @@ impl ShardedServer {
                     batches.clone(),
                     errors.clone(),
                     rank_ns.clone(),
-                    builder.fault.clone(),
                 ));
             }
         }
         Ok(ShardedServer {
+            replies_lost: registry.counter("serve.shard.replies_lost"),
+            gather_ns: registry.histogram("serve.router.gather_ns"),
+            merge_ns: registry.histogram("serve.router.merge_ns"),
+            front,
             shards,
             job_txs,
             workers,
-            graph,
-            frozen,
-            config: builder.config,
-            fault: builder.fault,
-            metrics: RouterMetrics::new(registry),
         })
     }
 
@@ -225,64 +137,45 @@ impl ShardedServer {
         self.shards.len()
     }
 
-    /// The per-shard servers (tests and benches inspect their partitions).
-    pub fn shards(&self) -> &[Arc<OnlineServer>] {
+    /// The rank shards (tests and benches inspect their partitions).
+    pub fn shards(&self) -> &[Arc<RankShard>] {
         &self.shards
     }
 
     pub fn config(&self) -> ServingConfig {
-        self.config
+        self.front.config()
     }
 
     pub fn graph(&self) -> &HeteroGraph {
-        &self.graph
+        self.front.graph()
     }
 
     /// The shared observability registry (router + every shard).
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
+        self.front.metrics_registry()
     }
 
     /// Snapshot with the shard caches' aggregated counters ingested.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.metrics.registry.ingest_cache("cache", self.aggregated_cache_stats());
-        self.metrics.registry.snapshot()
+        self.front.metrics_snapshot(&self.shards)
     }
 
     /// Neighbor-cache counters summed across every shard's partition.
     pub fn aggregated_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let s = shard.cache().stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.refreshes += s.refreshes;
-            total.evictions += s.evictions;
-        }
-        total
+        cache_stats(&self.shards)
     }
 
     /// Pre-fill every shard's neighbor cache partition for `nodes` (each
     /// node lands only in its owning shard's cache).
     pub fn warm_cache(&self, nodes: &[NodeId]) -> Result<(), ServingError> {
-        if self.config.disable_cache {
-            return Ok(());
-        }
-        self.validate_nodes(nodes.iter().copied())?;
-        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); self.shards.len()];
-        for &n in nodes {
-            by_shard[shard_of_node(n, self.shards.len())].push(n);
-        }
-        for (shard, owned) in self.shards.iter().zip(by_shard) {
-            shard.warm_cache(&owned)?;
-        }
-        Ok(())
+        self.front.warm_cache(&self.shards, nodes)
     }
 
     /// Scatter-gather batch serve; semantics of
-    /// [`OnlineServer::handle_batch`] over the sharded tier.
+    /// [`OnlineServer::handle_batch`](crate::server::OnlineServer::handle_batch)
+    /// over the sharded tier.
     pub fn handle_batch(&self, queries: &[Query]) -> Result<Vec<Retrieval>, ServingError> {
-        self.handle_batch_with_deadline(queries, Deadline::from_config(self.config.deadline))
+        self.handle_batch_with_deadline(queries, Deadline::from_config(self.config().deadline))
     }
 
     /// [`Self::handle_batch`] under an explicit, possibly already-running
@@ -292,15 +185,11 @@ impl ShardedServer {
         queries: &[Query],
         deadline: Deadline,
     ) -> Result<Vec<Retrieval>, ServingError> {
-        Ok(self
-            .handle_batch_scored(queries, deadline)?
-            .into_iter()
-            .map(ScoredRetrieval::into_retrieval)
-            .collect())
+        self.handle_batch_scored(queries, deadline).map(into_retrievals)
     }
 
-    /// The scored scatter-gather path: front half once at the router,
-    /// back half fanned out to the shard workers, replies merged by score.
+    /// The scored scatter-gather path: front half once at the router, rank
+    /// half on every shard, replies merged by score.
     pub fn handle_batch_scored(
         &self,
         queries: &[Query],
@@ -309,40 +198,55 @@ impl ShardedServer {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.validate_nodes(queries.iter().flat_map(|r| [r.user, r.query]))?;
-        let m = &self.metrics;
-        if deadline.expired() {
-            m.deadline_exceeded.inc();
-            return Err(ServingError::DeadlineExceeded { stage: "admission" });
-        }
-        m.batches.inc();
-        m.requests.add(queries.len() as u64);
+        let replies = match self.front.prepare(&self.shards, queries, &deadline)? {
+            Some(uq) => self.scatter_gather(uq, queries, deadline)?,
+            // Budget spent before the embed: every shard's posting partition
+            // answers inline — nothing left worth a channel hop.
+            None => self.shards.iter().map(|s| Some(s.fallback(queries))).collect(),
+        };
 
-        self.fire_fault(FaultSite::CacheResolve);
-        let t = StageTimer::start(&m.stage_cache);
-        let neighbors = self.resolve_neighbors(queries)?;
-        t.stop();
-        if deadline.expired() {
-            return Ok(self.router_fallback(queries));
-        }
+        // Merge: per query, concatenate the replying shards' scored lists
+        // (shard-index order, so ties break deterministically) and reduce
+        // through the shared top-k. A lost shard marks the whole batch
+        // degraded — its candidates are missing from the merge.
+        let t_merge = StageTimer::start(&self.merge_ns);
+        let lost = replies.iter().any(Option::is_none);
+        let answered: Vec<Ranked> = replies.into_iter().flatten().collect();
+        let worst = answered.iter().map(|r| r.realized).max().unwrap_or(BrownoutRung::Full);
+        self.front.count_degraded(worst, queries.len());
+        let mut row_iters: Vec<std::vec::IntoIter<ScoredRetrieval>> =
+            answered.into_iter().map(|r| r.rows.into_iter()).collect();
+        let config = self.config();
+        let out = queries
+            .iter()
+            .map(|q| {
+                let rows = row_iters.iter_mut().filter_map(Iterator::next).collect();
+                merge_query(rows, config.effective_top_k(q), lost)
+            })
+            .collect();
+        t_merge.stop();
+        Ok(out)
+    }
 
-        self.fire_fault(FaultSite::Embed);
-        let t = StageTimer::start(&m.stage_embed);
-        let neighbor_slices: Vec<(&[NodeId], &[NodeId])> =
-            neighbors.iter().map(|(u, q)| (u.as_slice(), q.as_slice())).collect();
-        let uq = self.frozen.embed_requests(&self.graph, queries, &neighbor_slices);
-        t.stop();
-
+    /// Scatter the embedded batch to every shard's workers and gather one
+    /// reply slot per shard (`None` = lost). Errors only when no shard
+    /// answered.
+    fn scatter_gather(
+        &self,
+        uq: Matrix,
+        queries: &[Query],
+        deadline: Deadline,
+    ) -> Result<Vec<Option<Ranked>>, ServingError> {
         // The batch's brownout rung, driven by the *worst* shard's probe
         // cost: a merge of mixed-rung shard answers would let a fast shard's
         // full-quality scores drown out a slow shard's shrunken list, so the
         // router imposes one rung on everyone. Deadline::none() reads every
         // EWMA as irrelevant and selects Full — the pre-ladder path.
-        let worst_ewma = self.shards.iter().map(|s| s.ann_cost_ewma_ns()).max().unwrap_or_default();
+        let worst_ewma =
+            self.shards.iter().map(|s| s.probe_cost_ewma_ns()).max().unwrap_or_default();
         let rung = BrownoutRung::select(&deadline, worst_ewma);
 
-        // Scatter: every shard ranks the whole batch against its partition.
-        let t_gather = StageTimer::start(&m.gather_ns);
+        let t_gather = StageTimer::start(&self.gather_ns);
         let uq = Arc::new(uq);
         let shared_queries = Arc::new(queries.to_vec());
         let (tx, rx) = mpsc::channel::<ShardReply>();
@@ -369,7 +273,7 @@ impl ShardedServer {
             None => DEFAULT_GATHER_TIMEOUT,
         };
         let gather_start = Instant::now();
-        let mut per_shard: Vec<Option<Vec<ScoredRetrieval>>> = Vec::new();
+        let mut per_shard: Vec<Option<Ranked>> = Vec::new();
         per_shard.resize_with(self.shards.len(), || None);
         let mut last_err = None;
         let mut received = 0usize;
@@ -377,9 +281,9 @@ impl ShardedServer {
             let waited = gather_start.elapsed();
             let Some(left) = budget.checked_sub(waited) else { break };
             match rx.recv_timeout(left) {
-                Ok((idx, Ok(rows))) => {
+                Ok((idx, Ok(ranked))) => {
                     if let Some(slot) = per_shard.get_mut(idx) {
-                        *slot = Some(rows);
+                        *slot = Some(ranked);
                     }
                     received += 1;
                 }
@@ -394,148 +298,12 @@ impl ShardedServer {
         let answered = per_shard.iter().filter(|s| s.is_some()).count();
         let lost = self.shards.len() - answered;
         if lost > 0 {
-            m.replies_lost.add(lost as u64);
+            self.replies_lost.add(lost as u64);
         }
         if answered == 0 {
             return Err(last_err.unwrap_or(ServingError::Internal("every shard reply was lost")));
         }
-
-        // Merge: per query, concatenate the replying shards' scored lists
-        // (shard-index order, so ties break deterministically) and reduce
-        // through the shared top-k. A lost shard marks the whole batch
-        // degraded — its candidates are missing from the merge.
-        let t_merge = StageTimer::start(&m.merge_ns);
-        let mut row_iters: Vec<std::vec::IntoIter<ScoredRetrieval>> =
-            per_shard.into_iter().flatten().map(Vec::into_iter).collect();
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            let rows: Vec<ScoredRetrieval> =
-                row_iters.iter_mut().filter_map(Iterator::next).collect();
-            out.push(merge_query(rows, self.effective_top_k(q), lost > 0));
-        }
-        t_merge.stop();
-        Ok(out)
-    }
-
-    /// Budget-spent fallback at the router: answer from every shard's
-    /// posting partition (no embedding, no probe, no scatter), merged by
-    /// the postings' synthetic rank scores. Mirrors
-    /// [`OnlineServer::degraded_fallback_batch`] per shard, counting
-    /// `serve.degraded.fallback` once per request.
-    fn router_fallback(&self, queries: &[Query]) -> Vec<ScoredRetrieval> {
-        self.metrics.degraded_fallback.add(queries.len() as u64);
-        queries
-            .iter()
-            .map(|r| {
-                let k = self.effective_top_k(r);
-                let rows: Vec<ScoredRetrieval> = self
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        let items = shard
-                            .inverted()
-                            .posting(r.query)
-                            .map(|p| {
-                                p.iter()
-                                    .take(k)
-                                    .enumerate()
-                                    .map(|(rank, &id)| (id as u64, -(rank as f32)))
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        ScoredRetrieval { items, degraded: true }
-                    })
-                    .collect();
-                merge_query(rows, k, false)
-            })
-            .collect()
-    }
-
-    /// Partitioned neighbor-cache resolve: each node's entry lives in (and
-    /// only in) its owning shard's cache, computed with the same
-    /// neutral-focal top-k the single-shard path caches — so a node's
-    /// cached neighborhood is identical at any shard count.
-    fn resolve_neighbors(
-        &self,
-        queries: &[Query],
-    ) -> Result<Vec<crate::server::NeighborPair>, ServingError> {
-        if self.config.disable_cache {
-            // The no-cache ablation samples per request and touches no shard
-            // state; any shard's resolver serves (shard 0 by convention).
-            return self
-                .shards
-                .first()
-                .ok_or(ServingError::Internal("sharded server with no shards"))?
-                .resolve_neighbors(queries);
-        }
-        let num_shards = self.shards.len();
-        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); num_shards];
-        let mut seen = HashSet::new();
-        for r in queries {
-            for n in [r.user, r.query] {
-                if seen.insert(n) {
-                    by_shard[shard_of_node(n, num_shards)].push(n);
-                }
-            }
-        }
-        let mut resolved: HashMap<NodeId, Arc<Vec<NodeId>>> = HashMap::with_capacity(seen.len());
-        for (shard, owned) in self.shards.iter().zip(&by_shard) {
-            if owned.is_empty() {
-                continue;
-            }
-            let found = shard.cache().get_many(owned);
-            let missing: Vec<NodeId> =
-                owned.iter().zip(&found).filter(|(_, f)| f.is_none()).map(|(&n, _)| n).collect();
-            let computed: Vec<(NodeId, Vec<NodeId>)> = missing
-                .iter()
-                .map(|&n| (n, neutral_topk_neighbors(&self.graph, n, self.config.cache_k)))
-                .collect();
-            let inserted = shard.cache().insert_many(computed);
-            resolved.extend(missing.into_iter().zip(inserted));
-            for (&n, hit) in owned.iter().zip(found) {
-                if let Some(entry) = hit {
-                    resolved.insert(n, entry);
-                }
-            }
-        }
-        queries
-            .iter()
-            .map(|r| {
-                let get = |n: NodeId| {
-                    resolved
-                        .get(&n)
-                        .map(Arc::clone)
-                        .ok_or(ServingError::Internal("partitioned cache resolve lost a node"))
-                };
-                Ok((get(r.user)?, get(r.query)?))
-            })
-            .collect()
-    }
-
-    #[inline]
-    fn effective_top_k(&self, q: &Query) -> usize {
-        if q.top_k == 0 {
-            self.config.top_k
-        } else {
-            q.top_k as usize
-        }
-    }
-
-    fn validate_nodes(&self, nodes: impl IntoIterator<Item = NodeId>) -> Result<(), ServingError> {
-        let num_nodes = self.graph.num_nodes();
-        for node in nodes {
-            if node as usize >= num_nodes {
-                return Err(ServingError::NodeOutOfRange { node, num_nodes });
-            }
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn fire_fault(&self, site: FaultSite) {
-        if let Some(f) = &self.fault {
-            f.fire(site);
-        }
+        Ok(per_shard)
     }
 }
 
@@ -568,30 +336,27 @@ impl QueryService for ShardedServer {
     }
 }
 
-/// One shard worker: drain jobs, run the shard's rank stage under
+/// One shard worker: drain jobs, run the shard's rank half under
 /// `catch_unwind` (an injected panic becomes a `WorkerPanicked` reply, not
 /// a dead worker), pass the `ShardReply` fault site, send the reply. A
 /// reply the router has stopped waiting for is dropped silently.
 fn spawn_worker(
     shard_idx: usize,
-    shard: Arc<OnlineServer>,
+    shard: Arc<RankShard>,
     rx: channel::Receiver<ShardJob>,
     batches: Counter,
     errors: Counter,
     rank_ns: Histogram,
-    fault: Option<Arc<FaultInjector>>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         while let Ok(job) = rx.recv() {
             batches.inc();
             let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let ranked = shard.rank_scored_at(&job.uq, &job.queries, &job.deadline, job.rung);
+                let ranked = shard.rank(&job.uq, &job.queries, &job.deadline, job.rung, false);
                 // Fired inside the unwind guard: an injected panic here is
                 // reported as an errored reply, never a lost worker thread.
-                if let Some(f) = &fault {
-                    f.fire(FaultSite::ShardReply);
-                }
+                shard.fire_fault(FaultSite::ShardReply);
                 ranked
             }))
             .unwrap_or(Err(ServingError::WorkerPanicked("shard rank stage panicked")));

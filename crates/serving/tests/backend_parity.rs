@@ -44,9 +44,8 @@ fn ivf_trio() -> &'static (IvfIndex, IvfBackend, Backend) {
     TRIO.get_or_init(|| {
         let items = random_items(POOL, DIM, 901);
         let raw = IvfIndex::build(&items, 10, 4, 901);
-        let wrapped = IvfBackend::new(IvfIndex::build(&items, 10, 4, 901), NPROBE, NPROBE);
-        let dispatched =
-            Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 10, 4, 901), NPROBE, NPROBE));
+        let wrapped = IvfBackend::new(IvfIndex::build(&items, 10, 4, 901), NPROBE);
+        let dispatched = Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 10, 4, 901), NPROBE));
         (raw, wrapped, dispatched)
     })
 }
@@ -137,7 +136,7 @@ fn all_backends_agree_with_the_exact_oracle_at_recall_one_settings() {
     // IVF probing every list is exact; a pool-wide beam visits the whole
     // (connected-by-construction) graph, so it is exact too.
     let backends: Vec<Backend> = vec![
-        Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 10, 4, 902), POOL, POOL)),
+        Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 10, 4, 902), POOL)),
         Backend::Exact(ExactSearch::build(&items)),
         Backend::Proximity(ProximityGraph::build(&items, 8, POOL)),
     ];

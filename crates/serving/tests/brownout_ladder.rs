@@ -12,54 +12,71 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use zoomer_data::{TaobaoConfig, TaobaoData};
-use zoomer_graph::NodeId;
+use zoomer_graph::{HeteroGraph, NodeId};
 use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
 use zoomer_serving::{
-    BackendKind, BrownoutRung, OnlineServer, Query, ScoredRetrieval, ServingConfig,
+    BackendKind, BrownoutRung, Deadline, FrozenModel, OnlineServer, Query, ScoredRetrieval,
+    ServingConfig,
 };
 
-struct Fixture {
-    servers: Vec<(BackendKind, OnlineServer)>,
+/// What every server in this suite is built from.
+struct Inputs {
+    graph: Arc<HeteroGraph>,
+    frozen: FrozenModel,
+    pool: Vec<NodeId>,
     logs: Vec<(NodeId, NodeId)>,
 }
 
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
+fn inputs() -> &'static Inputs {
+    static INPUTS: OnceLock<Inputs> = OnceLock::new();
+    INPUTS.get_or_init(|| {
         let data = TaobaoData::generate(TaobaoConfig::tiny(83));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(31, dd));
         let frozen = model.freeze(&data.graph);
         let pool = data.item_nodes();
-        let graph = Arc::new(data.graph);
         let logs: Vec<(NodeId, NodeId)> =
             data.logs.iter().take(60).map(|l| (l.user, l.query)).collect();
         assert!(!logs.is_empty());
-        let servers = [BackendKind::Ivf, BackendKind::Proximity]
-            .into_iter()
-            .map(|backend| {
-                let server = OnlineServer::builder()
-                    .graph(Arc::clone(&graph))
-                    .frozen(frozen.clone())
-                    .item_pool(&pool)
-                    .config(ServingConfig { backend, top_k: 10, ..Default::default() })
-                    .seed(83)
-                    .build()
-                    .expect("server build");
-                (backend, server)
-            })
-            .collect();
-        Fixture { servers, logs }
+        Inputs { graph: Arc::new(data.graph), frozen, pool, logs }
+    })
+}
+
+/// A fresh server (own registry, own cost EWMA) over the shared inputs.
+fn server(backend: BackendKind) -> OnlineServer {
+    let inputs = inputs();
+    OnlineServer::builder()
+        .graph(Arc::clone(&inputs.graph))
+        .frozen(inputs.frozen.clone())
+        .item_pool(&inputs.pool)
+        .config(ServingConfig { backend, top_k: 10, ..Default::default() })
+        .seed(83)
+        .build()
+        .expect("server build")
+}
+
+/// The servers the proptests share (their cases only read results).
+fn servers() -> &'static [(BackendKind, OnlineServer)] {
+    static SERVERS: OnceLock<Vec<(BackendKind, OnlineServer)>> = OnceLock::new();
+    SERVERS.get_or_init(|| {
+        [BackendKind::Ivf, BackendKind::Proximity].into_iter().map(|b| (b, server(b))).collect()
     })
 }
 
 fn queries(batch: usize, offset: usize, k: u32) -> Vec<Query> {
-    let logs = &fixture().logs;
+    let logs = &inputs().logs;
     (0..batch)
         .map(|i| {
             let (user, q) = logs[(offset + i) % logs.len()];
             Query::new(user, q).with_top_k(k)
         })
+        .collect()
+}
+
+/// Score-bit projection of a scored batch result.
+fn bits(rows: &[ScoredRetrieval]) -> Vec<(Vec<(u64, u32)>, bool)> {
+    rows.iter()
+        .map(|r| (r.items.iter().map(|&(id, s)| (id, s.to_bits())).collect(), r.degraded))
         .collect()
 }
 
@@ -76,7 +93,7 @@ proptest! {
         offset in 0usize..50,
         k in 1u32..16,
     ) {
-        for (kind, server) in &fixture().servers {
+        for (kind, server) in servers() {
             let qs = queries(batch, offset, k);
             let ladder: Vec<Vec<ScoredRetrieval>> = BrownoutRung::ALL[..4]
                 .iter()
@@ -138,6 +155,23 @@ proptest! {
             }
         }
     }
+
+    /// The forced entry is a caller of the ordinary request path, not a copy
+    /// of it: forcing `Full` is bit-for-bit the organic no-deadline answer.
+    #[test]
+    fn forced_full_is_the_organic_unbounded_path(
+        batch in 1usize..6,
+        offset in 0usize..50,
+        k in 0u32..16,
+    ) {
+        for (kind, server) in servers() {
+            let qs = queries(batch, offset, k);
+            let forced =
+                server.handle_batch_scored_forced(&qs, BrownoutRung::Full).expect("forced full");
+            let organic = server.handle_batch_scored(&qs, Deadline::none()).expect("organic");
+            prop_assert_eq!(bits(&forced), bits(&organic), "{}: forced Full drifted", kind.name());
+        }
+    }
 }
 
 /// Each forced degraded rung moves exactly its own counter: one per batch
@@ -146,7 +180,10 @@ proptest! {
 /// all for a full-quality batch.
 #[test]
 fn forced_rungs_count_exactly_their_own_counter() {
-    let (_, server) = &fixture().servers[0];
+    // A private server: this test diffs counters, and tests in this binary
+    // run on parallel threads, so it must not share a registry with the
+    // proptests' forced batches.
+    let server = server(BackendKind::Ivf);
     let qs = queries(3, 0, 10);
     let rung_counters = [
         "serve.degraded.skip_widen",

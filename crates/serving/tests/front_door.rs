@@ -15,7 +15,7 @@ use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
 use zoomer_serving::wire::write_frame;
 use zoomer_serving::{
     BackendKind, FrontDoor, FrozenModel, OnlineServer, Query, ResponseStatus, ServingConfig,
-    ShardedServer, ShardingConfig, WireClient,
+    ShardedServer, ShardingConfig, WireClient, WireError, MAX_TOP_K,
 };
 
 struct Fixture {
@@ -133,6 +133,32 @@ fn malformed_frame_keeps_the_connection_alive() {
     let frame = zoomer_serving::wire::decode_response(&reply).expect("decode after garbage");
     assert_eq!(frame.rows.len(), 1);
     assert_eq!(frame.rows[0].status, ResponseStatus::Ok);
+}
+
+/// `top_k` is a raw `u32` on the wire. One past [`MAX_TOP_K`] costs its
+/// batch a typed error frame — not an exact scan of every partition and a
+/// reply carrying the whole pool — and the same connection serves the next
+/// frame, the bound itself included.
+#[test]
+fn oversized_top_k_is_rejected_and_the_connection_keeps_serving() {
+    let (door, addr) = front_door(0);
+    let mut client = WireClient::connect(&addr).expect("connect");
+    let greedy = [query(0, 1), query(1, 1).with_top_k(u32::MAX)];
+    match client.retrieve(&greedy, 0) {
+        Err(WireError::Remote(msg)) => assert!(msg.contains("top_k"), "untyped rejection: {msg}"),
+        other => panic!("an unbounded top_k must be rejected, got {other:?}"),
+    }
+    let snap = door.server().metrics_snapshot();
+    assert_eq!(snap.counter("serve.batches"), Some(0), "a rejected batch is never admitted");
+
+    let rows =
+        client.retrieve(&[query(0, 1), query(1, 1).with_top_k(MAX_TOP_K)], 0).expect("next frame");
+    assert_eq!(rows.len(), 2);
+    for row in &rows {
+        assert_eq!(row.status, ResponseStatus::Ok);
+        assert!(!row.retrieval.items.is_empty());
+    }
+    assert!(rows[1].retrieval.items.len() <= fixture().pool.len());
 }
 
 /// The acceptance criterion, through the socket: a noisy tenant at 5× its

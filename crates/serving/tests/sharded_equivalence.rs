@@ -7,6 +7,7 @@
 //! top-k (partition + merge loses nothing an exact scan would find), and
 //! shard-reply faults must degrade the batch instead of erroring it.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -14,9 +15,10 @@ use proptest::prelude::*;
 use zoomer_data::{TaobaoConfig, TaobaoData};
 use zoomer_graph::{HeteroGraph, NodeId};
 use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
+use zoomer_obs::MetricsRegistry;
 use zoomer_serving::{
-    BackendKind, Deadline, FaultPlan, FaultSite, FrozenModel, OnlineServer, Query, SearchBackend,
-    ServerBuilder, ServingConfig, ShardedServer, ShardingConfig,
+    BackendKind, Deadline, FaultPlan, FaultSite, FrozenModel, NeighborCache, OnlineServer, Query,
+    SearchBackend, ServerBuilder, ServingConfig, ShardedServer, ShardingConfig,
 };
 
 struct Fixture {
@@ -84,7 +86,9 @@ proptest! {
 
     /// N=1 scatter-gather is bit-identical to the single-shard server:
     /// same ids, same score bits, same degraded flags, for any batch mix
-    /// of default and per-request top-k.
+    /// of default and per-request top-k — with no deadline, and under a
+    /// bounded one generous enough that no rung below `Full` is realized
+    /// (the ladder is selected and executed, and must change nothing).
     #[test]
     fn n1_sharded_is_bit_identical_to_single_shard(
         indices in prop::collection::vec(0usize..100, 1..10),
@@ -98,13 +102,15 @@ proptest! {
             (single, sharded)
         });
         let queries = queries_from(&indices, &top_ks);
-        let want = single
+        let unbounded = single
             .handle_batch_scored(&queries, Deadline::none())
             .expect("single serve");
-        let got = sharded
-            .handle_batch_scored(&queries, Deadline::none())
-            .expect("sharded serve");
-        prop_assert_eq!(score_bits(&want), score_bits(&got), "N=1 scatter-gather diverged");
+        for deadline in [Deadline::none(), Deadline::after(Duration::from_secs(600))] {
+            let want = single.handle_batch_scored(&queries, deadline).expect("single serve");
+            let got = sharded.handle_batch_scored(&queries, deadline).expect("sharded serve");
+            prop_assert_eq!(score_bits(&want), score_bits(&got), "N=1 scatter-gather diverged");
+            prop_assert_eq!(score_bits(&want), score_bits(&unbounded), "unspent budget changed an answer");
+        }
     }
 }
 
@@ -238,4 +244,133 @@ fn partitioned_cache_serves_repeats_without_re_missing() {
     assert_eq!(first, second, "same batch must be deterministic");
     assert_eq!(stats.misses, misses_after_first, "second serve must not miss");
     assert!(stats.hits > 0);
+}
+
+/// The request/degraded counters a batch moves, in a fixed order.
+const BATCH_COUNTERS: [&str; 7] = [
+    "serve.requests",
+    "serve.batches",
+    "serve.degraded.skip_widen",
+    "serve.degraded.topk_shrunk",
+    "serve.degraded.budget_capped",
+    "serve.degraded.nprobe_capped",
+    "serve.degraded.fallback",
+];
+
+/// Serve one 4-request batch under `deadline` on a fresh tier whose every
+/// pass through `site` stalls for `stall`, and return what it moved of
+/// [`BATCH_COUNTERS`]. `num_shards == 0` is the plain [`OnlineServer`].
+fn stalled_batch_deltas(
+    num_shards: usize,
+    deadline: Duration,
+    site: FaultSite,
+    stall: Duration,
+) -> Vec<u64> {
+    let registry = Arc::new(MetricsRegistry::enabled());
+    let mut cfg = config(BackendKind::Ivf, num_shards.max(1));
+    cfg.deadline = Some(deadline);
+    let fault = Arc::new(FaultPlan::new(7).delay(site, 1, stall).build());
+    let builder = builder(cfg).metrics(Arc::clone(&registry)).fault(fault);
+    let queries = queries_from(&[0, 1, 2, 3], &[0, 0, 0, 0]);
+    let rows = if num_shards == 0 {
+        builder.build().expect("single build").handle_batch(&queries)
+    } else {
+        ShardedServer::build(builder).expect("sharded build").handle_batch(&queries)
+    }
+    .expect("an admitted batch always answers");
+    assert!(rows.iter().all(|r| r.degraded), "the stalled batch must be served degraded");
+    let snap = registry.snapshot();
+    BATCH_COUNTERS.iter().map(|name| snap.counter(name).unwrap_or(0)).collect()
+}
+
+/// `serve.requests`, `serve.batches` and the `serve.degraded.*` family are
+/// counted once per batch by whoever owns the batch — never once per shard.
+/// The same stalled batch moves them identically on the un-sharded server
+/// and at every shard count.
+#[test]
+fn batch_counters_do_not_scale_with_shard_count() {
+    let ms = Duration::from_millis;
+    for (what, deadline, site, stall, want) in [
+        // An ANN-stage spike past the deadline: every shard answers from its
+        // postings, and the fallback is counted once per *request*.
+        ("fallback", ms(5), FaultSite::AnnProbe, ms(20), [4, 1, 0, 0, 0, 0, 4]),
+        // A spike inside the first probe round, short of the gather grace:
+        // every shard's round-major probe self-caps, and the cap is counted
+        // once per *batch* (with its legacy alias).
+        ("budget cap", ms(40), FaultSite::AnnRound, ms(80), [4, 1, 0, 0, 1, 1, 0]),
+    ] {
+        for num_shards in [0usize, 1, 2, 4] {
+            assert_eq!(
+                stalled_batch_deltas(num_shards, deadline, site, stall),
+                want,
+                "{what} batch at N={num_shards} (0 = un-sharded) moved {BATCH_COUNTERS:?} wrongly"
+            );
+        }
+    }
+}
+
+/// Every node → neighbor-list entry resident in `caches`, checking on the
+/// way that each sits in the partition `shard_of_node` assigns it.
+fn resident_entries(caches: &[&NeighborCache], num_nodes: usize) -> BTreeMap<NodeId, Vec<NodeId>> {
+    let mut entries = BTreeMap::new();
+    for node in 0..num_nodes as NodeId {
+        for (idx, cache) in caches.iter().enumerate() {
+            if let Some(entry) = cache.get(node) {
+                assert_eq!(
+                    zoomer_graph::shard_of_node(node, caches.len()),
+                    idx,
+                    "node {node} cached outside its owning partition"
+                );
+                entries.insert(node, entry.to_vec());
+            }
+        }
+    }
+    entries
+}
+
+/// The single neighbor resolve is partition-invariant: serving the same
+/// batches cold leaves the same node → neighbor-list map behind whether it
+/// lives in one cache or is split across 2 or 4, and at each shard count a
+/// warmed tier answers exactly as a cold one.
+#[test]
+fn neighbor_resolve_is_partition_invariant() {
+    let fix = fixture();
+    let num_nodes = fix.graph.num_nodes();
+    let batches = [
+        queries_from(&[0, 1, 2, 3, 4], &[0, 0, 0, 0, 0]),
+        queries_from(&[3, 4, 5, 6, 3], &[0, 7, 0, 0, 0]),
+    ];
+    let single = builder(config(BackendKind::Exact, 1)).build().expect("single build");
+    for batch in &batches {
+        single.handle_batch(batch).expect("single serve");
+    }
+    let want = resident_entries(&[single.cache()], num_nodes);
+    assert!(!want.is_empty());
+    for shards in [1usize, 2, 4] {
+        let build = || ShardedServer::build(builder(config(BackendKind::Exact, shards)));
+        let cold = build().expect("cold build");
+        let cold_rows: Vec<_> =
+            batches.iter().map(|b| cold.handle_batch(b).expect("cold serve")).collect();
+        let caches: Vec<&NeighborCache> = cold.shards().iter().map(|s| s.cache()).collect();
+        assert_eq!(
+            resident_entries(&caches, num_nodes),
+            want,
+            "N={shards} cached different neighborhoods than the single cache"
+        );
+
+        let warm = build().expect("warm build");
+        let touched: Vec<NodeId> = want.keys().copied().collect();
+        warm.warm_cache(&touched).expect("warm");
+        let caches: Vec<&NeighborCache> = warm.shards().iter().map(|s| s.cache()).collect();
+        assert_eq!(resident_entries(&caches, num_nodes), want, "N={shards} warm-up entries");
+        let misses_after_warm = warm.aggregated_cache_stats().misses;
+        let warm_rows: Vec<_> =
+            batches.iter().map(|b| warm.handle_batch(b).expect("warm serve")).collect();
+        assert_eq!(cold_rows, warm_rows, "N={shards}: a warmed tier must answer as a cold one");
+        assert_eq!(
+            warm.aggregated_cache_stats().misses,
+            misses_after_warm,
+            "N={shards}: serving warmed nodes must not miss"
+        );
+    }
 }
