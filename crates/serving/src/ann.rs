@@ -7,20 +7,17 @@
 //! a query probes the `nprobe` nearest lists and scores their members
 //! exactly by inner product.
 
+use std::ops::Range;
+
 use zoomer_obs::{Counter, MetricsRegistry};
-use zoomer_tensor::{dot, dot4, kernel::hardware_threads, seeded_rng, Matrix};
+use zoomer_tensor::{dot, dot4, seeded_rng, Matrix};
 
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 
 use crate::backend::BoundedSearch;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
-use crate::topk::top_k_desc;
-
-/// Minimum batch rows before query-chunk parallelism pays for thread
-/// dispatch: below this a batch scores sequentially even on many cores.
-pub const PAR_MIN_BATCH_QUERIES: usize = 32;
+use crate::topk::TopK;
 
 /// One inverted list: entry ids plus their vectors flattened row-major into
 /// a single contiguous buffer (`vectors.len() == ids.len() * dim`), so a
@@ -151,130 +148,68 @@ impl IvfIndex {
 
     /// Multi-query approximate top-`k`: one query per row of `queries`.
     ///
-    /// Large batches are split into contiguous query chunks scored on
-    /// rayon workers (each worker runs its own list-major pass, so no
-    /// shared mutable state); small batches stay on the calling thread.
-    /// Either way each query's candidate stream and per-score arithmetic
-    /// are identical, so results never depend on batch size or thread
-    /// count.
+    /// Runs on the calling thread. Each probed list is scanned once for
+    /// every query probing it (list-major), and each query keeps one bounded
+    /// [`TopK`] across its lists, so its working set is O(`k`), not
+    /// O(candidates). Results are in the crate's total rank order — score
+    /// descending, then id ascending ([`crate::topk`]) — so a row never
+    /// depends on batch composition or on the order lists are visited.
     pub fn search_batch(
         &self,
         queries: &Matrix,
         k: usize,
         nprobe: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        let chunks = if hardware_threads() > 1 && queries.rows() >= PAR_MIN_BATCH_QUERIES {
-            hardware_threads()
-        } else {
-            1
-        };
-        self.search_batch_chunked(queries, k, nprobe, chunks)
-    }
-
-    /// [`Self::search_batch`] with an explicit chunk count — the parallel
-    /// split, exposed so tests and benches can force multi-chunk execution
-    /// on any machine. Results are identical for every `chunks` value.
-    pub fn search_batch_chunked(
-        &self,
-        queries: &Matrix,
-        k: usize,
-        nprobe: usize,
-        chunks: usize,
-    ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
         if queries.rows() == 0 {
             return Ok(Vec::new());
         }
-        if queries.cols() != self.dim {
-            return Err(ServingError::DimensionMismatch {
-                expected: self.dim,
-                got: queries.cols(),
-            });
-        }
-        let rows = queries.rows();
+        self.check_width(queries.cols())?;
         let nprobe = nprobe.max(1).min(self.centroids.len());
-        let chunks = chunks.clamp(1, rows);
-        let scored = if chunks <= 1 {
-            self.score_rows(queries, 0, rows, nprobe)
-        } else {
-            let per = rows.div_ceil(chunks);
-            let ranges: Vec<usize> = (0..rows).step_by(per).collect();
-            let parts: Vec<Vec<Vec<(u64, f32)>>> = ranges
-                .into_par_iter()
-                .map(|start| self.score_rows(queries, start, (start + per).min(rows), nprobe))
-                .collect();
-            parts.into_iter().flatten().collect()
-        };
-        Ok(scored.into_iter().map(|s| top_k_desc(s, k)).collect())
+        let orders = probe_orders(&self.centroids, queries, nprobe);
+        let mut probers = vec![Vec::new(); self.centroids.len()];
+        fill_probers(&orders, 0..nprobe, &mut probers);
+        let mut tops: Vec<TopK> = (0..queries.rows()).map(|_| TopK::new(k)).collect();
+        let (probes, candidates) = self.scan_lists(&probers, queries, &mut tops);
+        self.publish(probes, candidates);
+        Ok(tops.into_iter().map(TopK::finish).collect())
     }
 
-    /// Score query rows `start..end` against their `nprobe` nearest lists:
-    /// the list-major scoring pass, over one contiguous chunk of the batch.
-    fn score_rows(
-        &self,
-        queries: &Matrix,
-        start: usize,
-        end: usize,
-        nprobe: usize,
-    ) -> Vec<Vec<(u64, f32)>> {
-        // Invert "query → nprobe nearest lists" into "list → probing queries".
-        let mut probers: Vec<Vec<u32>> = vec![Vec::new(); self.centroids.len()];
-        for qi in start..end {
-            let q = queries.row(qi);
-            let mut order: Vec<(usize, f32)> =
-                self.centroids.iter().enumerate().map(|(i, c)| (i, euclidean2(c, q))).collect();
-            let pivot = (nprobe - 1).min(order.len() - 1);
-            order.select_nth_unstable_by(pivot, |a, b| {
-                a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for &(list, _) in order.iter().take(nprobe) {
-                probers[list].push(qi as u32);
-            }
+    fn check_width(&self, got: usize) -> Result<(), ServingError> {
+        if got != self.dim {
+            return Err(ServingError::DimensionMismatch { expected: self.dim, got });
         }
-        // One shared pass over each probed list. Queries are scored four at
-        // a time through `dot4`, which feeds four independent accumulator
-        // chains per loaded entry element — a single query's dot product is
-        // bound by the FMA latency chain; a batch supplies the independent
-        // work that fills the pipeline. `dot4` applies `dot`'s exact lane
-        // scheme per query, so a score never depends on whether its query
-        // fell in a 4-block or the remainder.
-        let mut scored: Vec<Vec<(u64, f32)>> = vec![Vec::new(); end - start];
+        Ok(())
+    }
+
+    /// Score every `(list, probing queries)` pair of `probers` into the
+    /// queries' accumulators; returns the `(probes, candidates)` tallies.
+    fn scan_lists(&self, probers: &[Vec<u32>], queries: &Matrix, tops: &mut [TopK]) -> (u64, u64) {
+        let (mut probes, mut candidates) = (0u64, 0u64);
         for (list, qis) in probers.iter().enumerate() {
-            self.score_one_list(list, qis, queries, start, &mut scored);
+            self.score_one_list(list, qis, queries, tops);
+            probes += qis.len() as u64;
+            candidates += (qis.len() * self.lists[list].ids.len()) as u64;
         }
+        (probes, candidates)
+    }
+
+    fn publish(&self, probes: u64, candidates: u64) {
         if let Some(m) = &self.metrics {
-            let mut probes = 0u64;
-            let mut candidates = 0u64;
-            for (list, qis) in probers.iter().enumerate() {
-                probes += qis.len() as u64;
-                candidates += (qis.len() * self.lists[list].ids.len()) as u64;
-            }
             m.lists_probed.add(probes);
             m.candidates_scored.add(candidates);
         }
-        scored
     }
 
-    /// Score every query in `qis` (absolute batch row indices) against one
-    /// inverted list, appending `(id, score)` pairs to `scored[qi - start]`.
-    /// Queries are blocked four at a time through `dot4` exactly like the
-    /// batch path always has, so a score never depends on how its query was
-    /// grouped or which probing strategy scheduled the list.
-    fn score_one_list(
-        &self,
-        list: usize,
-        qis: &[u32],
-        queries: &Matrix,
-        start: usize,
-        scored: &mut [Vec<(u64, f32)>],
-    ) {
-        if qis.is_empty() {
-            return;
-        }
+    /// Score every query in `qis` (batch row indices) against one inverted
+    /// list, pushing `(id, score)` into `tops[qi]`. Queries are scored four
+    /// at a time through `dot4`, which feeds four independent accumulator
+    /// chains per loaded entry element — a single query's dot product is
+    /// bound by the FMA latency chain; a batch supplies the independent work
+    /// that fills the pipeline. `dot4` applies `dot`'s exact lane scheme per
+    /// query, so a score never depends on how its query was grouped.
+    fn score_one_list(&self, list: usize, qis: &[u32], queries: &Matrix, tops: &mut [TopK]) {
         let il = &self.lists[list];
         let d = self.dim;
-        for &qi in qis {
-            scored[qi as usize - start].reserve(il.ids.len());
-        }
         let mut blocks = qis.chunks_exact(4);
         for b in &mut blocks {
             let q0 = &queries.row(b[0] as usize)[..d];
@@ -282,20 +217,18 @@ impl IvfIndex {
             let q2 = &queries.row(b[2] as usize)[..d];
             let q3 = &queries.row(b[3] as usize)[..d];
             for (ei, &id) in il.ids.iter().enumerate() {
-                let v = &il.vectors[ei * d..ei * d + d];
-                let s = dot4(v, q0, q1, q2, q3);
-                scored[b[0] as usize - start].push((id, s[0]));
-                scored[b[1] as usize - start].push((id, s[1]));
-                scored[b[2] as usize - start].push((id, s[2]));
-                scored[b[3] as usize - start].push((id, s[3]));
+                let s = dot4(&il.vectors[ei * d..ei * d + d], q0, q1, q2, q3);
+                tops[b[0] as usize].push(id, s[0]);
+                tops[b[1] as usize].push(id, s[1]);
+                tops[b[2] as usize].push(id, s[2]);
+                tops[b[3] as usize].push(id, s[3]);
             }
         }
         for &qi in blocks.remainder() {
             let q = queries.row(qi as usize);
-            let out = &mut scored[qi as usize - start];
+            let top = &mut tops[qi as usize];
             for (ei, &id) in il.ids.iter().enumerate() {
-                let v = &il.vectors[ei * d..ei * d + d];
-                out.push((id, dot(v, q)));
+                top.push(id, dot(&il.vectors[ei * d..ei * d + d], q));
             }
         }
     }
@@ -305,13 +238,12 @@ impl IvfIndex {
     /// between rounds and stopping early once it expires. Round 0 always
     /// completes, so every query is scored against at least its single
     /// nearest list; stopping after round `r` leaves each query with exactly
-    /// its `r+1` nearest lists scored — the same candidates a plain
-    /// `nprobe = r+1` search would have produced.
+    /// its `r+1` nearest lists scored — the same candidates, and so (by the
+    /// total rank order) the same results, a plain `nprobe = r+1` search
+    /// would have produced.
     ///
     /// `on_round(r)` fires at the start of every round (after the expiry
-    /// check); the server uses it as a fault-injection point. This path runs
-    /// on the calling thread — the degraded probe trades the chunked-batch
-    /// parallelism for a between-rounds budget check.
+    /// check); the server uses it as a fault-injection point.
     pub fn search_batch_deadline(
         &self,
         queries: &Matrix,
@@ -328,35 +260,12 @@ impl IvfIndex {
                 full_budget: nprobe,
             });
         }
-        if queries.cols() != self.dim {
-            return Err(ServingError::DimensionMismatch {
-                expected: self.dim,
-                got: queries.cols(),
-            });
-        }
-        let rows = queries.rows();
-        let by_dist = |a: &(usize, f32), b: &(usize, f32)| {
-            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
-        };
-        // Per-query probe schedule: the nprobe nearest lists, ascending by
-        // centroid distance, so round r probes every query's (r+1)-th
-        // nearest list.
-        let orders: Vec<Vec<usize>> = (0..rows)
-            .map(|qi| {
-                let q = queries.row(qi);
-                let mut order: Vec<(usize, f32)> =
-                    self.centroids.iter().enumerate().map(|(i, c)| (i, euclidean2(c, q))).collect();
-                let pivot = (nprobe - 1).min(order.len() - 1);
-                order.select_nth_unstable_by(pivot, by_dist);
-                order.truncate(nprobe);
-                order.sort_by(by_dist);
-                order.into_iter().map(|(list, _)| list).collect()
-            })
-            .collect();
-        let mut scored: Vec<Vec<(u64, f32)>> = vec![Vec::new(); rows];
-        let mut probers: Vec<Vec<u32>> = vec![Vec::new(); self.centroids.len()];
-        let mut probes = 0u64;
-        let mut candidates = 0u64;
+        self.check_width(queries.cols())?;
+        // Round r probes every query's (r+1)-th nearest list.
+        let orders = probe_orders(&self.centroids, queries, nprobe);
+        let mut tops: Vec<TopK> = (0..queries.rows()).map(|_| TopK::new(k)).collect();
+        let mut probers = vec![Vec::new(); self.centroids.len()];
+        let (mut probes, mut candidates) = (0u64, 0u64);
         let mut effective = nprobe;
         for r in 0..nprobe {
             if r > 0 && deadline.expired() {
@@ -364,26 +273,14 @@ impl IvfIndex {
                 break;
             }
             on_round(r);
-            for p in probers.iter_mut() {
-                p.clear();
-            }
-            for (qi, order) in orders.iter().enumerate() {
-                if let Some(&list) = order.get(r) {
-                    probers[list].push(qi as u32);
-                }
-            }
-            for (list, qis) in probers.iter().enumerate() {
-                self.score_one_list(list, qis, queries, 0, &mut scored);
-                probes += qis.len() as u64;
-                candidates += (qis.len() * self.lists[list].ids.len()) as u64;
-            }
+            fill_probers(&orders, r..r + 1, &mut probers);
+            let (p, c) = self.scan_lists(&probers, queries, &mut tops);
+            probes += p;
+            candidates += c;
         }
-        if let Some(m) = &self.metrics {
-            m.lists_probed.add(probes);
-            m.candidates_scored.add(candidates);
-        }
+        self.publish(probes, candidates);
         Ok(BoundedSearch {
-            results: scored.into_iter().map(|s| top_k_desc(s, k)).collect(),
+            results: tops.into_iter().map(TopK::finish).collect(),
             effective_budget: effective,
             full_budget: nprobe,
         })
@@ -431,6 +328,44 @@ fn nearest(centroids: &[Vec<f32>], v: &[f32]) -> usize {
         }
     }
     best
+}
+
+/// Each query row's probe schedule: its `nprobe` nearest lists, ascending
+/// by centroid distance. Shared by the f32 and quantized IVF scans.
+pub(crate) fn probe_orders(
+    centroids: &[Vec<f32>],
+    queries: &Matrix,
+    nprobe: usize,
+) -> Vec<Vec<usize>> {
+    let by_dist = |a: &(usize, f32), b: &(usize, f32)| {
+        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
+    };
+    (0..queries.rows())
+        .map(|qi| {
+            let q = queries.row(qi);
+            let mut order: Vec<(usize, f32)> =
+                centroids.iter().enumerate().map(|(i, c)| (i, euclidean2(c, q))).collect();
+            let pivot = (nprobe - 1).min(order.len() - 1);
+            order.select_nth_unstable_by(pivot, by_dist);
+            order.truncate(nprobe);
+            order.sort_by(by_dist);
+            order.into_iter().map(|(list, _)| list).collect()
+        })
+        .collect()
+}
+
+/// Invert the schedule positions `ranks` of every query's probe order into
+/// "list → probing queries" (`probers` is cleared first), so each list is
+/// scanned once for all of its probers.
+pub(crate) fn fill_probers(orders: &[Vec<usize>], ranks: Range<usize>, probers: &mut [Vec<u32>]) {
+    for p in probers.iter_mut() {
+        p.clear();
+    }
+    for (qi, order) in orders.iter().enumerate() {
+        for &list in order.iter().take(ranks.end).skip(ranks.start) {
+            probers[list].push(qi as u32);
+        }
+    }
 }
 
 pub(crate) fn euclidean2(a: &[f32], b: &[f32]) -> f32 {
@@ -516,23 +451,6 @@ mod tests {
                 "batch result diverges from single"
             );
         }
-    }
-
-    #[test]
-    fn chunked_batch_matches_sequential_bitwise() {
-        // The parallel split must be invisible: any chunk count, same
-        // results (forced chunking so this holds even on one core).
-        let items = random_items(300, 8, 12);
-        let idx = IvfIndex::build(&items, 10, 4, 12);
-        let queries: Vec<Vec<f32>> = random_items(37, 8, 13).into_iter().map(|(_, v)| v).collect();
-        let rows: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let m = Matrix::from_rows(&rows);
-        let seq = idx.search_batch_chunked(&m, 10, 3, 1).expect("sequential");
-        for chunks in [2usize, 3, 5, 36, 37, 64] {
-            let par = idx.search_batch_chunked(&m, 10, 3, chunks).expect("chunked");
-            assert_eq!(seq, par, "chunks={chunks} diverges from sequential");
-        }
-        assert_eq!(seq, idx.search_batch(&m, 10, 3).expect("auto"), "auto dispatch diverges");
     }
 
     #[test]

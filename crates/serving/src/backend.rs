@@ -25,16 +25,15 @@
 //! the deadline path, which fires once per budget round on the
 //! already-degraded branch.
 
-use rayon::prelude::*;
 use zoomer_obs::{Counter, MetricsRegistry};
 use zoomer_tensor::{dot, Matrix};
 
-use crate::ann::{IvfIndex, PAR_MIN_BATCH_QUERIES};
+use crate::ann::IvfIndex;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::proximity::ProximityGraph;
 use crate::quantized::QuantizedIvf;
-use crate::topk::top_k_desc;
+use crate::topk::TopK;
 
 /// Which retrieval backend an [`crate::OnlineServer`] builds and serves
 /// from; selected by `ServingConfig::backend`.
@@ -191,22 +190,22 @@ pub trait SearchBackend {
     fn attach_metrics(&mut self, registry: &MetricsRegistry);
 }
 
-/// Score one query against a flat `(ids, row-major vectors)` pool by inner
-/// product, in pool order. `dot` applies the exact lane scheme `dot4` uses
-/// per query, so these scores are bit-identical to any blocked scoring of
-/// the same pairs.
-pub(crate) fn score_flat(
+/// Exact top-`k` of one query over a flat `(ids, row-major vectors)` pool
+/// by inner product, streamed through a [`TopK`]. `dot` applies the exact
+/// lane scheme `dot4` uses per query, so these scores are bit-identical to
+/// any blocked scoring of the same pairs.
+pub(crate) fn scan_flat(
     ids: &[u64],
     vectors: &[f32],
     dim: usize,
     query: &[f32],
+    k: usize,
 ) -> Vec<(u64, f32)> {
-    let mut scored = Vec::with_capacity(ids.len());
+    let mut top = TopK::new(k);
     for (ei, &id) in ids.iter().enumerate() {
-        let v = &vectors[ei * dim..ei * dim + dim];
-        scored.push((id, dot(v, query)));
+        top.push(id, dot(&vectors[ei * dim..ei * dim + dim], query));
     }
-    scored
+    top.finish()
 }
 
 /// [`IvfIndex`] as a [`SearchBackend`]: the index plus its serving-path
@@ -288,7 +287,10 @@ impl SearchBackend for IvfBackend {
 
 /// Exact inner-product top-`k` over a flat pool — the recall oracle promoted
 /// to a first-class backend. Every query scores every item, so recall is 1.0
-/// by construction and the cost is O(pool · dim) per query. Deadline
+/// by construction and the cost is O(pool · dim) per query, on the calling
+/// thread, with an O(`k`) working set. Results are in the crate's total rank
+/// order (score descending, then id ascending — [`crate::topk`]), so a
+/// partitioned pool merges back to exactly this scan's answer. Deadline
 /// semantics: a single budget rung (the scan is all-or-nothing), so the
 /// exact backend degrades via the server's inverted-index fallback only,
 /// never by capping.
@@ -320,10 +322,6 @@ impl ExactSearch {
         }
         Ok(())
     }
-
-    fn scan_one(&self, query: &[f32], k: usize) -> Vec<(u64, f32)> {
-        top_k_desc(score_flat(&self.ids, &self.vectors, self.dim, query), k)
-    }
 }
 
 impl SearchBackend for ExactSearch {
@@ -349,13 +347,9 @@ impl SearchBackend for ExactSearch {
         }
         self.check_width(queries.cols())?;
         let rows = queries.rows();
-        // Rows are independent full scans, so the parallel split is trivially
-        // invisible: same per-row arithmetic regardless of thread count.
-        let results: Vec<Vec<(u64, f32)>> = if rows >= PAR_MIN_BATCH_QUERIES {
-            (0..rows).into_par_iter().map(|r| self.scan_one(queries.row(r), k)).collect()
-        } else {
-            (0..rows).map(|r| self.scan_one(queries.row(r), k)).collect()
-        };
+        let results: Vec<Vec<(u64, f32)>> = (0..rows)
+            .map(|r| scan_flat(&self.ids, &self.vectors, self.dim, queries.row(r), k))
+            .collect();
         if let Some(s) = &self.stats {
             s.queries.add(rows as u64);
             s.candidates_scored.add((rows * self.ids.len()) as u64);
@@ -387,7 +381,7 @@ impl SearchBackend for ExactSearch {
             s.queries.inc();
             s.candidates_scored.add(self.ids.len() as u64);
         }
-        Ok(self.scan_one(query, k))
+        Ok(scan_flat(&self.ids, &self.vectors, self.dim, query, k))
     }
 
     fn attach_metrics(&mut self, registry: &MetricsRegistry) {
@@ -537,11 +531,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_backend_batch_matches_single_and_any_parallel_split() {
+    fn exact_backend_batch_matches_single() {
         let items = random_items(150, 8, 22);
         let exact = ExactSearch::build(&items);
-        // Cross the PAR_MIN_BATCH_QUERIES threshold to cover the rayon path.
-        let m = query_matrix(PAR_MIN_BATCH_QUERIES + 5, 8, 23);
+        let m = query_matrix(37, 8, 23);
         let batched = exact.search_batch(&m, 7).expect("batch");
         assert_eq!(batched.len(), m.rows());
         for (r, row) in batched.iter().enumerate() {

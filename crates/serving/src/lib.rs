@@ -16,7 +16,8 @@
 //!   quantizer + inverted lists, inner-product scoring).
 //! - [`proximity`] — navigable neighbor graph over the frozen tower's item
 //!   embeddings, beam-searched under the frozen relevance score.
-//! - [`topk`] — the shared top-k reduction every backend ranks through.
+//! - [`topk`] — the bounded streaming top-k every backend and the shard
+//!   merge rank through, in one total order (score, then id).
 //! - [`cache`] — per-node neighbor cache with DOI-tiered (degree-of-interest)
 //!   admission/eviction and an asynchronous refresh worker whose shed
 //!   refreshes retry from a bounded jittered side queue.

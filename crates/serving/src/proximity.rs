@@ -28,15 +28,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rayon::prelude::*;
 use zoomer_obs::MetricsRegistry;
 use zoomer_tensor::{dot, Matrix};
 
-use crate::ann::PAR_MIN_BATCH_QUERIES;
-use crate::backend::{score_flat, BackendKind, BackendStats, BoundedSearch, SearchBackend};
+use crate::backend::{scan_flat, BackendKind, BackendStats, BoundedSearch, SearchBackend};
 use crate::deadline::Deadline;
 use crate::error::ServingError;
-use crate::topk::top_k_desc;
+use crate::topk::TopK;
 
 /// A beam-search candidate with a total order: score first (IEEE total
 /// order, so NaN cannot panic the heap), node index as the deterministic
@@ -211,8 +209,9 @@ impl ProximityGraph {
         Ok(())
     }
 
-    /// Beam-search one query at an explicit beam width; returns ranked
-    /// `(id, score)` and the number of candidates scored.
+    /// Beam-search one query at an explicit beam width; returns its top-`k`
+    /// of the final pool as `(id, score)` in the crate's total rank order,
+    /// and the number of candidates scored.
     fn search_one(&self, query: &[f32], k: usize, beam: usize) -> (Vec<(u64, f32)>, u64) {
         let (found, scored) = beam_search(
             self.entry,
@@ -221,33 +220,23 @@ impl ProximityGraph {
             |node| self.neighbors_of(node),
             |node| dot(self.vector_of(node), query),
         );
-        let ranked: Vec<(u64, f32)> =
-            found.into_iter().take(k).map(|(node, s)| (self.ids[node as usize], s)).collect();
-        (ranked, scored)
+        let mut top = TopK::new(k);
+        for (node, s) in found {
+            top.push(self.ids[node as usize], s);
+        }
+        (top.finish(), scored)
     }
 
-    /// Score all query rows at one beam width. The parallel split is by row,
-    /// each row an independent beam search, so results never depend on
-    /// thread count.
-    fn search_rows(
-        &self,
-        queries: &Matrix,
-        k: usize,
-        beam: usize,
-        parallel: bool,
-    ) -> (Vec<Vec<(u64, f32)>>, u64) {
-        let rows = queries.rows();
-        let per_row: Vec<(Vec<(u64, f32)>, u64)> = if parallel && rows >= PAR_MIN_BATCH_QUERIES {
-            (0..rows).into_par_iter().map(|r| self.search_one(queries.row(r), k, beam)).collect()
-        } else {
-            (0..rows).map(|r| self.search_one(queries.row(r), k, beam)).collect()
-        };
+    /// Beam-search every query row at one beam width, on the calling thread.
+    fn search_rows(&self, queries: &Matrix, k: usize, beam: usize) -> (Vec<Vec<(u64, f32)>>, u64) {
         let mut scored = 0u64;
-        let mut results = Vec::with_capacity(rows);
-        for (res, s) in per_row {
-            scored += s;
-            results.push(res);
-        }
+        let results = (0..queries.rows())
+            .map(|r| {
+                let (res, s) = self.search_one(queries.row(r), k, beam);
+                scored += s;
+                res
+            })
+            .collect();
         (results, scored)
     }
 
@@ -311,7 +300,7 @@ impl SearchBackend for ProximityGraph {
             return Ok(Vec::new());
         }
         self.check_width(queries.cols())?;
-        let (results, scored) = self.search_rows(queries, k, self.beam_width, true);
+        let (results, scored) = self.search_rows(queries, k, self.beam_width);
         if let Some(s) = &self.stats {
             s.queries.add(queries.rows() as u64);
             s.candidates_scored.add(scored);
@@ -321,9 +310,7 @@ impl SearchBackend for ProximityGraph {
 
     /// Deadline-aware probe over the beam-width ladder: rung `r` re-searches
     /// every query at `budget_ladder()[r]`, the expiry check runs between
-    /// rungs, and the last completed rung's results stand. Like the IVF
-    /// round-major probe this runs on the calling thread — the degraded path
-    /// trades batch parallelism for the between-rungs budget check.
+    /// rungs, and the last completed rung's results stand.
     fn search_batch_deadline(
         &self,
         queries: &Matrix,
@@ -349,7 +336,7 @@ impl SearchBackend for ProximityGraph {
                 break;
             }
             on_round(r);
-            let (res, s) = self.search_rows(queries, k, width, false);
+            let (res, s) = self.search_rows(queries, k, width);
             results = res;
             scored += s;
             effective = width;
@@ -367,7 +354,7 @@ impl SearchBackend for ProximityGraph {
             s.queries.inc();
             s.candidates_scored.add(self.ids.len() as u64);
         }
-        Ok(top_k_desc(score_flat(&self.ids, &self.vectors, self.dim, query), k))
+        Ok(scan_flat(&self.ids, &self.vectors, self.dim, query, k))
     }
 
     fn attach_metrics(&mut self, registry: &MetricsRegistry) {
@@ -486,10 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_rows_across_the_parallel_threshold() {
+    fn batch_matches_single_rows() {
         let items = random_items(120, 8, 44);
         let g = ProximityGraph::build(&items, 6, 24);
-        let m = query_matrix(PAR_MIN_BATCH_QUERIES + 3, 8, 45);
+        let m = query_matrix(35, 8, 45);
         let batched = g.search_batch(&m, 9).expect("batch");
         for (r, row) in batched.iter().enumerate() {
             let (single, _) = g.search_one(m.row(r), 9, 24);
@@ -538,7 +525,7 @@ mod tests {
         assert!(bounded.capped());
         assert_eq!(bounded.effective_budget, 4, "rung 0 = beam/8 always completes");
         // A capped probe equals a plain probe at the smaller beam.
-        let (narrow, _) = g.search_rows(&m, 10, 4, false);
+        let (narrow, _) = g.search_rows(&m, 10, 4);
         assert_eq!(bounded.results, narrow);
     }
 
@@ -556,7 +543,7 @@ mod tests {
             })
             .expect("bounded");
         assert_eq!(bounded.effective_budget, 8, "rungs 0 and 1 completed");
-        let (narrow, _) = g.search_rows(&m, 10, 8, false);
+        let (narrow, _) = g.search_rows(&m, 10, 8);
         assert_eq!(bounded.results, narrow);
     }
 

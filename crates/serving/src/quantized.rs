@@ -13,11 +13,13 @@
 //!
 //! Quantization costs recall, so the probe is two-phase:
 //!
-//! 1. **int8 scan** of the `nprobe` probed lists produces approximate
-//!    scores for every candidate;
-//! 2. the top `rerank_factor × k` shortlist is **exactly rescored in f32**
-//!    against the rerank store and the final top-`k` is taken from those
-//!    exact scores.
+//! 1. **int8 scan** of the `nprobe` probed lists scores every candidate
+//!    approximately, straight into a bounded per-query `TopK` of width
+//!    `rerank_factor × k`: the shortlist;
+//! 2. the shortlist is **exactly rescored in f32** against the rerank store
+//!    and the final top-`k` is taken from those exact scores, in the
+//!    crate's total rank order (score descending, then id ascending — see
+//!    [`crate::topk`]). Both phases run on the calling thread.
 //!
 //! At the default `rerank_factor` this recovers recall@10 to within 1% of
 //! the f32 IVF backend at equal `nprobe` (pinned by test and recorded in
@@ -32,17 +34,16 @@
 //! *same lists* and see the same candidate sets — recall deltas measure
 //! quantization alone, not clustering drift.
 
-use rayon::prelude::*;
 use zoomer_obs::{Counter, MetricsRegistry};
-use zoomer_tensor::kernel::{dot4_i8, dot_i8, hardware_threads};
+use zoomer_tensor::kernel::{dot4_i8, dot_i8};
 use zoomer_tensor::quant::{combine_quantized, quantize_into, QuantParams};
 use zoomer_tensor::{dot, Matrix};
 
-use crate::ann::{euclidean2, IvfIndex, PAR_MIN_BATCH_QUERIES};
+use crate::ann::{fill_probers, probe_orders, IvfIndex};
 use crate::backend::{BackendKind, BackendStats, BoundedSearch, SearchBackend};
 use crate::deadline::Deadline;
 use crate::error::ServingError;
-use crate::topk::top_k_desc;
+use crate::topk::TopK;
 
 /// Default shortlist widening: the int8 phase hands `rerank_factor × k`
 /// candidates to the exact f32 rerank. 4 is the smallest power of two at
@@ -97,6 +98,8 @@ struct QuantStats {
 
 /// IVF retrieval over int8 codes with exact f32 rerank of the shortlist —
 /// the fourth [`crate::Backend`] variant (`BackendKind::Quantized`).
+/// Searches run on the calling thread; results are in the crate's total
+/// rank order (exact score descending, then id ascending — [`crate::topk`]).
 pub struct QuantizedIvf {
     dim: usize,
     centroids: Vec<Vec<f32>>,
@@ -106,10 +109,18 @@ pub struct QuantizedIvf {
     stats: Option<QuantStats>,
 }
 
-/// Candidates are tracked through the two-phase probe as a packed
+/// A batch's query rows quantized once: row-major codes plus one
+/// parameter set per row.
+struct QuantQueries {
+    codes: Vec<i8>,
+    params: Vec<QuantParams>,
+}
+
+/// Candidates are tracked through the int8 phase as a packed
 /// `(list, entry)` handle so the rerank can reach both the f32 row and the
-/// public id without a hash lookup. Monotone in (list, entry), i.e. packed
-/// order == list-major scan order, which keeps tie-breaking deterministic.
+/// public id without a hash lookup. The shortlist breaks approximate-score
+/// ties by handle; the final top-`k` is selected over public ids, in the
+/// crate's total rank order.
 #[inline]
 fn pack(list: usize, entry: usize) -> u64 {
     ((list as u64) << 32) | entry as u64
@@ -119,20 +130,6 @@ fn pack(list: usize, entry: usize) -> u64 {
 fn unpack(handle: u64) -> (usize, usize) {
     ((handle >> 32) as usize, (handle & u32::MAX as u64) as usize)
 }
-
-/// Shared inputs of one scoring pass: the whole batch's quantized queries
-/// plus the per-call budgets, bundled so the chunked scorer hands each
-/// row-range worker one borrow instead of four.
-struct ScorePass<'a> {
-    qcodes: &'a [i8],
-    qparams: &'a [QuantParams],
-    k: usize,
-    nprobe: usize,
-}
-
-/// One chunk's scoring output: final per-query results plus the
-/// `(i8_scored, reranked)` metric tallies.
-type ScoredChunk = (Vec<Vec<(u64, f32)>>, u64, u64);
 
 impl QuantizedIvf {
     /// Quantize an existing [`IvfIndex`]: adopt its centroids and list
@@ -220,193 +217,96 @@ impl QuantizedIvf {
     /// Quantize every query row once, into one contiguous code buffer (the
     /// int8 phase rescans query codes `nprobe` times; encoding is per
     /// search).
-    fn quantize_queries(&self, queries: &Matrix) -> (Vec<i8>, Vec<QuantParams>) {
+    fn quantize_queries(&self, queries: &Matrix) -> QuantQueries {
         let rows = queries.rows();
         let mut codes = Vec::with_capacity(rows * self.dim);
         let mut params = Vec::with_capacity(rows);
         for r in 0..rows {
             params.push(quantize_into(queries.row(r), &mut codes));
         }
-        (codes, params)
+        QuantQueries { codes, params }
     }
 
-    /// The `nprobe` nearest lists for one query, ascending by centroid
-    /// distance — the same probe schedule [`IvfIndex`] uses.
-    fn probe_order(&self, q: &[f32], nprobe: usize) -> Vec<usize> {
-        let by_dist = |a: &(usize, f32), b: &(usize, f32)| {
-            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
-        };
-        let mut order: Vec<(usize, f32)> =
-            self.centroids.iter().enumerate().map(|(i, c)| (i, euclidean2(c, q))).collect();
-        let pivot = (nprobe - 1).min(order.len() - 1);
-        order.select_nth_unstable_by(pivot, by_dist);
-        order.truncate(nprobe);
-        order.sort_by(by_dist);
-        order.into_iter().map(|(list, _)| list).collect()
-    }
-
-    /// Int8-score every query in `qis` (absolute batch row indices) against
-    /// one quantized list, appending `(handle, approx_score)` pairs to
-    /// `scored[qi - start]`. Queries are blocked four at a time through
-    /// `dot4_i8`; the combination arithmetic is `combine_quantized` in both
-    /// the block and remainder paths, so a score never depends on grouping.
-    #[allow(clippy::too_many_arguments)] // mirrors IvfIndex::score_one_list + query codes
-    fn score_one_list(
-        &self,
-        list: usize,
-        qis: &[u32],
-        qcodes: &[i8],
-        qparams: &[QuantParams],
-        start: usize,
-        scored: &mut [Vec<(u64, f32)>],
-    ) {
-        if qis.is_empty() {
-            return;
-        }
+    /// Int8-score every query in `qis` (batch row indices) against one
+    /// quantized list, pushing `(handle, approx_score)` into the query's
+    /// shortlist. Queries are blocked four at a time through `dot4_i8`; the
+    /// combination arithmetic is `combine_quantized` in both the block and
+    /// remainder paths, so a score never depends on grouping.
+    fn score_one_list(&self, list: usize, qis: &[u32], q: &QuantQueries, tops: &mut [TopK]) {
         let il = &self.lists[list];
         let d = self.dim;
-        for &qi in qis {
-            scored[qi as usize - start].reserve(il.ids.len());
-        }
-        let row = |qi: u32| &qcodes[qi as usize * d..qi as usize * d + d];
+        let row = |qi: u32| &q.codes[qi as usize * d..qi as usize * d + d];
         let mut blocks = qis.chunks_exact(4);
         for b in &mut blocks {
             let (c0, c1, c2, c3) = (row(b[0]), row(b[1]), row(b[2]), row(b[3]));
-            let (p0, p1, p2, p3) = (
-                &qparams[b[0] as usize],
-                &qparams[b[1] as usize],
-                &qparams[b[2] as usize],
-                &qparams[b[3] as usize],
-            );
+            let p = [b[0], b[1], b[2], b[3]].map(|qi| &q.params[qi as usize]);
             for (ei, pv) in il.params.iter().enumerate() {
-                let v = &il.codes[ei * d..ei * d + d];
-                let s = dot4_i8(v, c0, c1, c2, c3);
+                let s = dot4_i8(&il.codes[ei * d..ei * d + d], c0, c1, c2, c3);
                 let h = pack(list, ei);
-                scored[b[0] as usize - start].push((h, combine_quantized(s[0], pv, p0, d)));
-                scored[b[1] as usize - start].push((h, combine_quantized(s[1], pv, p1, d)));
-                scored[b[2] as usize - start].push((h, combine_quantized(s[2], pv, p2, d)));
-                scored[b[3] as usize - start].push((h, combine_quantized(s[3], pv, p3, d)));
+                for j in 0..4 {
+                    tops[b[j] as usize].push(h, combine_quantized(s[j], pv, p[j], d));
+                }
             }
         }
         for &qi in blocks.remainder() {
-            let (cq, pq) = (row(qi), &qparams[qi as usize]);
-            let out = &mut scored[qi as usize - start];
+            let (cq, pq) = (row(qi), &q.params[qi as usize]);
+            let top = &mut tops[qi as usize];
             for (ei, pv) in il.params.iter().enumerate() {
                 let v = &il.codes[ei * d..ei * d + d];
-                out.push((pack(list, ei), combine_quantized(dot_i8(v, cq), pv, pq, d)));
+                top.push(pack(list, ei), combine_quantized(dot_i8(v, cq), pv, pq, d));
             }
         }
     }
 
-    /// Phase two: take the `rerank_factor × k` shortlist of one query's
-    /// approximate scores, rescore it exactly in f32 against the rerank
-    /// store, and return the final top-`k` as public `(id, exact_score)`
-    /// pairs. Returns the rerank count alongside for metrics.
-    fn rerank_one(
-        &self,
-        query: &[f32],
-        approx: Vec<(u64, f32)>,
-        k: usize,
-    ) -> (Vec<(u64, f32)>, usize) {
-        let widened = k.saturating_mul(self.rerank_factor);
-        let shortlist = top_k_desc(approx, widened);
-        let reranked = shortlist.len();
-        let mut exact = Vec::with_capacity(reranked);
-        for (handle, _) in shortlist {
-            let (list, ei) = unpack(handle);
-            let il = &self.lists[list];
-            let v = &il.vectors[ei * self.dim..(ei + 1) * self.dim];
-            exact.push((handle, dot(v, query)));
+    /// Int8-score every `(list, probing queries)` pair of `probers` into the
+    /// queries' shortlists; returns the number of candidates scored.
+    fn scan_lists(&self, probers: &[Vec<u32>], q: &QuantQueries, tops: &mut [TopK]) -> u64 {
+        let mut scored = 0u64;
+        for (list, qis) in probers.iter().enumerate() {
+            self.score_one_list(list, qis, q, tops);
+            scored += (qis.len() * self.lists[list].ids.len()) as u64;
         }
-        let top = top_k_desc(exact, k)
-            .into_iter()
-            .map(|(handle, s)| {
-                let (list, ei) = unpack(handle);
-                (self.lists[list].ids[ei], s)
-            })
-            .collect();
-        (top, reranked)
+        scored
     }
 
-    /// Score query rows `start..end`: the list-major int8 pass (inverting
-    /// query→lists into list→probers, like the f32 IVF scorer) followed by
-    /// the per-query rerank. Returns final results plus
-    /// `(i8_scored, reranked)` tallies.
-    fn score_rows(
+    /// One `rerank_factor × k` shortlist accumulator per query row.
+    fn shortlists(&self, rows: usize, k: usize) -> Vec<TopK> {
+        (0..rows).map(|_| TopK::new(k.saturating_mul(self.rerank_factor))).collect()
+    }
+
+    /// Phase two, per query: rescore its shortlist exactly in f32 against
+    /// the rerank store and keep the final top-`k` as public
+    /// `(id, exact_score)` pairs; then publish the pass's counters.
+    fn rerank(
         &self,
         queries: &Matrix,
-        pass: &ScorePass<'_>,
-        start: usize,
-        end: usize,
-    ) -> ScoredChunk {
-        let mut probers: Vec<Vec<u32>> = vec![Vec::new(); self.centroids.len()];
-        for qi in start..end {
-            for list in self.probe_order(queries.row(qi), pass.nprobe) {
-                probers[list].push(qi as u32);
-            }
-        }
-        let mut scored: Vec<Vec<(u64, f32)>> = vec![Vec::new(); end - start];
-        let mut i8_scored = 0u64;
-        for (list, qis) in probers.iter().enumerate() {
-            self.score_one_list(list, qis, pass.qcodes, pass.qparams, start, &mut scored);
-            i8_scored += (qis.len() * self.lists[list].ids.len()) as u64;
-        }
+        shortlists: Vec<TopK>,
+        k: usize,
+        i8_scored: u64,
+    ) -> Vec<Vec<(u64, f32)>> {
         let mut reranked = 0u64;
-        let results = scored
+        let results = shortlists
             .into_iter()
             .enumerate()
-            .map(|(i, approx)| {
-                let (top, n) = self.rerank_one(queries.row(start + i), approx, pass.k);
-                reranked += n as u64;
-                top
+            .map(|(qi, shortlist)| {
+                let mut top = TopK::new(k);
+                for (handle, _) in shortlist.finish_unordered() {
+                    let (list, ei) = unpack(handle);
+                    let il = &self.lists[list];
+                    let v = &il.vectors[ei * self.dim..(ei + 1) * self.dim];
+                    top.push(il.ids[ei], dot(v, queries.row(qi)));
+                    reranked += 1;
+                }
+                top.finish()
             })
             .collect();
-        (results, i8_scored, reranked)
-    }
-
-    /// [`SearchBackend::search_batch`] with an explicit chunk count — the
-    /// parallel split, exposed for tests. Results are identical for every
-    /// `chunks` value (integer scoring is grouping-invariant and chunks own
-    /// disjoint query ranges).
-    pub fn search_batch_chunked(
-        &self,
-        queries: &Matrix,
-        k: usize,
-        chunks: usize,
-    ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        self.check_width(queries.cols())?;
-        let rows = queries.rows();
-        let nprobe = self.nprobe.min(self.centroids.len());
-        let (qcodes, qparams) = self.quantize_queries(queries);
-        let chunks = chunks.clamp(1, rows);
-        let pass = ScorePass { qcodes: &qcodes, qparams: &qparams, k, nprobe };
-        let parts: Vec<ScoredChunk> = if chunks <= 1 {
-            vec![self.score_rows(queries, &pass, 0, rows)]
-        } else {
-            let per = rows.div_ceil(chunks);
-            let ranges: Vec<usize> = (0..rows).step_by(per).collect();
-            ranges
-                .into_par_iter()
-                .map(|s| self.score_rows(queries, &pass, s, (s + per).min(rows)))
-                .collect()
-        };
-        let mut results = Vec::with_capacity(rows);
-        let (mut i8_scored, mut reranked) = (0u64, 0u64);
-        for (part, s, r) in parts {
-            results.extend(part);
-            i8_scored += s;
-            reranked += r;
-        }
         if let Some(st) = &self.stats {
-            st.backend.queries.add(rows as u64);
+            st.backend.queries.add(queries.rows() as u64);
             st.backend.candidates_scored.add(reranked);
             st.scored_i8.add(i8_scored);
             st.reranked.add(reranked);
         }
-        Ok(results)
+        results
     }
 }
 
@@ -423,17 +323,26 @@ impl SearchBackend for QuantizedIvf {
         self.dim
     }
 
+    /// The list-major int8 pass over every query's `nprobe` nearest lists
+    /// (inverted into list → probing queries, like the f32 IVF scan), then
+    /// the per-query rerank — on the calling thread.
     fn search_batch(
         &self,
         queries: &Matrix,
         k: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        let chunks = if hardware_threads() > 1 && queries.rows() >= PAR_MIN_BATCH_QUERIES {
-            hardware_threads()
-        } else {
-            1
-        };
-        self.search_batch_chunked(queries, k, chunks)
+        if queries.rows() == 0 {
+            return Ok(Vec::new());
+        }
+        self.check_width(queries.cols())?;
+        let nprobe = self.nprobe.min(self.centroids.len());
+        let q = self.quantize_queries(queries);
+        let orders = probe_orders(&self.centroids, queries, nprobe);
+        let mut probers = vec![Vec::new(); self.centroids.len()];
+        fill_probers(&orders, 0..nprobe, &mut probers);
+        let mut shortlists = self.shortlists(queries.rows(), k);
+        let i8_scored = self.scan_lists(&probers, &q, &mut shortlists);
+        Ok(self.rerank(queries, shortlists, k, i8_scored))
     }
 
     /// Deadline-aware probe in nearest-first rounds, exactly the f32 IVF
@@ -458,12 +367,10 @@ impl SearchBackend for QuantizedIvf {
             });
         }
         self.check_width(queries.cols())?;
-        let rows = queries.rows();
-        let (qcodes, qparams) = self.quantize_queries(queries);
-        let orders: Vec<Vec<usize>> =
-            (0..rows).map(|qi| self.probe_order(queries.row(qi), nprobe)).collect();
-        let mut scored: Vec<Vec<(u64, f32)>> = vec![Vec::new(); rows];
-        let mut probers: Vec<Vec<u32>> = vec![Vec::new(); self.centroids.len()];
+        let q = self.quantize_queries(queries);
+        let orders = probe_orders(&self.centroids, queries, nprobe);
+        let mut shortlists = self.shortlists(queries.rows(), k);
+        let mut probers = vec![Vec::new(); self.centroids.len()];
         let mut i8_scored = 0u64;
         let mut effective = nprobe;
         for r in 0..nprobe {
@@ -472,35 +379,10 @@ impl SearchBackend for QuantizedIvf {
                 break;
             }
             on_round(r);
-            for p in probers.iter_mut() {
-                p.clear();
-            }
-            for (qi, order) in orders.iter().enumerate() {
-                if let Some(&list) = order.get(r) {
-                    probers[list].push(qi as u32);
-                }
-            }
-            for (list, qis) in probers.iter().enumerate() {
-                self.score_one_list(list, qis, &qcodes, &qparams, 0, &mut scored);
-                i8_scored += (qis.len() * self.lists[list].ids.len()) as u64;
-            }
+            fill_probers(&orders, r..r + 1, &mut probers);
+            i8_scored += self.scan_lists(&probers, &q, &mut shortlists);
         }
-        let mut reranked = 0u64;
-        let results: Vec<Vec<(u64, f32)>> = scored
-            .into_iter()
-            .enumerate()
-            .map(|(qi, approx)| {
-                let (top, n) = self.rerank_one(queries.row(qi), approx, k);
-                reranked += n as u64;
-                top
-            })
-            .collect();
-        if let Some(st) = &self.stats {
-            st.backend.queries.add(rows as u64);
-            st.backend.candidates_scored.add(reranked);
-            st.scored_i8.add(i8_scored);
-            st.reranked.add(reranked);
-        }
+        let results = self.rerank(queries, shortlists, k, i8_scored);
         Ok(BoundedSearch { results, effective_budget: effective, full_budget: nprobe })
     }
 
@@ -509,18 +391,17 @@ impl SearchBackend for QuantizedIvf {
     /// quantization involved.
     fn exact_search(&self, query: &[f32], k: usize) -> Result<Vec<(u64, f32)>, ServingError> {
         self.check_width(query.len())?;
-        let mut exact = Vec::with_capacity(self.len());
+        let mut top = TopK::new(k);
         for il in &self.lists {
             for (ei, &id) in il.ids.iter().enumerate() {
-                let v = &il.vectors[ei * self.dim..(ei + 1) * self.dim];
-                exact.push((id, dot(v, query)));
+                top.push(id, dot(&il.vectors[ei * self.dim..(ei + 1) * self.dim], query));
             }
         }
         if let Some(st) = &self.stats {
             st.backend.queries.inc();
-            st.backend.candidates_scored.add(exact.len() as u64);
+            st.backend.candidates_scored.add(self.len() as u64);
         }
-        Ok(top_k_desc(exact, k))
+        Ok(top.finish())
     }
 
     fn attach_metrics(&mut self, registry: &MetricsRegistry) {
@@ -582,16 +463,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_any_chunked_split() {
+    fn batch_matches_rows_served_one_at_a_time() {
         let items = random_items(500, 16, 3);
         let q = QuantizedIvf::build(&items, 16, 5, 3, 4, 4);
         let m = query_matrix(37, 16, 4);
-        let seq = q.search_batch_chunked(&m, 10, 1).expect("sequential");
-        for chunks in [2usize, 3, 5, 36, 37, 64] {
-            let par = q.search_batch_chunked(&m, 10, chunks).expect("chunked");
-            assert_eq!(seq, par, "chunks={chunks} diverges");
+        let batched = q.search_batch(&m, 10).expect("batch");
+        for (r, row) in batched.iter().enumerate() {
+            let single = q.search_batch(&Matrix::row_vector(m.row(r)), 10).expect("single");
+            assert_eq!(row, &single[0], "row {r} depends on batch composition");
         }
-        assert_eq!(seq, q.search_batch(&m, 10).expect("auto"));
     }
 
     #[test]
@@ -673,7 +553,7 @@ mod tests {
             .expect("bounded");
         assert_eq!(rounds, vec![0, 1, 2, 3]);
         assert!(!bounded.capped());
-        assert_eq!(bounded.results, q.search_batch_chunked(&m, 10, 1).expect("plain"));
+        assert_eq!(bounded.results, q.search_batch(&m, 10).expect("plain"));
     }
 
     #[test]
@@ -689,7 +569,7 @@ mod tests {
         assert!(bounded.capped());
         assert_eq!(
             bounded.results,
-            narrow.search_batch_chunked(&m, 10, 1).expect("narrow"),
+            narrow.search_batch(&m, 10).expect("narrow"),
             "capped probe must equal the plain probe at the smaller nprobe"
         );
     }

@@ -3,11 +3,11 @@
 //!
 //! The merge is deliberately tiny — concatenate each query's per-shard
 //! scored lists and reduce through the same [`crate::topk::top_k_desc`]
-//! every backend ranks with, so a sharded deployment can never order two
-//! candidates differently than a single-shard server would. At N=1 the
-//! merge input is one already-sorted ≤k list and `top_k_desc`'s stable
-//! sort is the identity: bit-identical results, pinned by the
-//! `sharded_equivalence` proptest suite.
+//! every backend ranks with. Its order is total (score descending, then id
+//! ascending), so the merged top-k is the un-sharded top-k even when
+//! candidates tie across shards, and at N=1 the merge of one sorted ≤k list
+//! is the identity: bit-identical results, pinned by the
+//! `sharded_equivalence` suite.
 //!
 //! Tenant fairness extends PR 5's shed queue with *per-tenant* accounting:
 //! capacity is split evenly across the tenants active in the current

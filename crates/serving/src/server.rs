@@ -57,11 +57,6 @@ type QueryPostings = Vec<(NodeId, Vec<NodeId>)>;
 /// entire pool.
 pub const MAX_TOP_K: u32 = 4096;
 
-/// Misses at or past this count are computed on the rayon pool (deployment
-/// pre-fill sweeps); a request batch's handful stays on the calling thread,
-/// where a fork-join would cost more than the computes.
-const PAR_SWEEP_MIN: usize = 256;
-
 /// Serving-stack parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ServingConfig {
@@ -374,7 +369,10 @@ impl FrontHalf {
                 })
                 .collect());
         }
-        let resolved = self.fill_misses(shards, queries.iter().flat_map(|r| [r.user, r.query]));
+        let nodes = queries.iter().flat_map(|r| [r.user, r.query]);
+        let resolved = self.fill_misses(shards, nodes, |missing| {
+            missing.iter().map(|&n| (n, self.neighborhood(n))).collect()
+        });
         let get = |n: NodeId| {
             resolved
                 .get(&n)
@@ -384,19 +382,25 @@ impl FrontHalf {
         queries.iter().map(|r| Ok((get(r.user)?, get(r.query)?))).collect()
     }
 
-    /// The one cache sweep: route each distinct node to the partition that
-    /// owns it ([`shard_of_node`]), read every partition under one
-    /// `get_many` lock round, compute the misses, install them under one
-    /// `insert_many` write. Returns every requested node's entry.
-    ///
-    /// Entries are always the node's neutral-focal top-k
+    /// A cache entry: the node's neutral-focal top-k
     /// ([`neutral_topk_neighbors`] — the same definition offline eval uses),
     /// so an entry never depends on which request, which shard count, or
     /// which of warm-up and serving happened to materialize it.
+    fn neighborhood(&self, n: NodeId) -> Vec<NodeId> {
+        neutral_topk_neighbors(&self.graph, n, self.config.cache_k)
+    }
+
+    /// The one cache sweep: route each distinct node to the partition that
+    /// owns it ([`shard_of_node`]), read every partition under one
+    /// `get_many` lock round, compute each partition's misses through
+    /// `compute` ([`Self::neighborhood`] per node — serially on the request
+    /// path, in parallel only from the set-up caller), install them under one
+    /// `insert_many` write. Returns every requested node's entry.
     fn fill_misses(
         &self,
         shards: &[Arc<RankShard>],
         nodes: impl IntoIterator<Item = NodeId>,
+        compute: impl Fn(&[NodeId]) -> Vec<(NodeId, Vec<NodeId>)>,
     ) -> HashMap<NodeId, Arc<Vec<NodeId>>> {
         let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
         let mut seen = HashSet::new();
@@ -406,8 +410,6 @@ impl FrontHalf {
             }
         }
         let mut resolved = HashMap::with_capacity(seen.len());
-        let compute =
-            |&n: &NodeId| (n, neutral_topk_neighbors(&self.graph, n, self.config.cache_k));
         for (shard, owned) in shards.iter().zip(&by_shard) {
             if owned.is_empty() {
                 continue;
@@ -415,12 +417,7 @@ impl FrontHalf {
             let found = shard.cache().get_many(owned);
             let missing: Vec<NodeId> =
                 owned.iter().zip(&found).filter(|(_, f)| f.is_none()).map(|(&n, _)| n).collect();
-            let computed: Vec<(NodeId, Vec<NodeId>)> = if missing.len() >= PAR_SWEEP_MIN {
-                missing.par_iter().map(compute).collect()
-            } else {
-                missing.iter().map(compute).collect()
-            };
-            let inserted = shard.cache().insert_many(computed);
+            let inserted = shard.cache().insert_many(compute(&missing));
             resolved.extend(missing.into_iter().zip(inserted));
             resolved.extend(owned.iter().zip(found).filter_map(|(&n, hit)| Some((n, hit?))));
         }
@@ -430,7 +427,8 @@ impl FrontHalf {
     /// Warm the cache partitions for a set of nodes (deployment pre-fill):
     /// each node lands only in its owning partition, through the same sweep
     /// the request path runs on a miss — so pre-warmed and cold-started
-    /// servers serve identical results.
+    /// servers serve identical results. A set-up call, so its misses are
+    /// computed in parallel.
     pub(crate) fn warm_cache(
         &self,
         shards: &[Arc<RankShard>],
@@ -440,7 +438,9 @@ impl FrontHalf {
             return Ok(());
         }
         self.validate_nodes(nodes.iter().copied())?;
-        self.fill_misses(shards, nodes.iter().copied());
+        self.fill_misses(shards, nodes.iter().copied(), |missing| {
+            missing.par_iter().map(|&n| (n, self.neighborhood(n))).collect()
+        });
         Ok(())
     }
 

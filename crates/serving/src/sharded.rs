@@ -6,7 +6,9 @@
 //! across `N` [`RankShard`]s using the exact node-id arithmetic of
 //! [`zoomer_graph::shard_of_node`], so graph storage and retrieval agree on
 //! ownership. Each shard is drained by `replicas_per_shard` worker threads
-//! behind a bounded job channel.
+//! behind a bounded job channel. Those workers are the tier's serving
+//! parallelism: a worker ranks the whole batch it received on its own
+//! thread, and nothing under `handle_batch` spawns a thread.
 //!
 //! The router is the same front half an [`OnlineServer`] runs (validate →
 //! admit → count → partitioned cache resolve → one stacked embed through
@@ -206,9 +208,9 @@ impl ShardedServer {
         };
 
         // Merge: per query, concatenate the replying shards' scored lists
-        // (shard-index order, so ties break deterministically) and reduce
-        // through the shared top-k. A lost shard marks the whole batch
-        // degraded — its candidates are missing from the merge.
+        // and reduce through the shared top-k (a total order, so ties across
+        // shards break by id, as in one shard). A lost shard marks the whole
+        // batch degraded — its candidates are missing from the merge.
         let t_merge = StageTimer::start(&self.merge_ns);
         let lost = replies.iter().any(Option::is_none);
         let answered: Vec<Ranked> = replies.into_iter().flatten().collect();

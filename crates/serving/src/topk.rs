@@ -1,27 +1,139 @@
 //! Shared top-k selection for every search backend.
 //!
-//! All retrieval paths — the IVF list probe, the exact flat scan, and the
-//! proximity-graph beam search — end the same way: reduce a scored candidate
-//! list to its `k` best by descending score. That reduction lives here, once,
-//! so every backend ranks candidates with byte-identical arithmetic and tie
-//! handling, and a backend swap can never change how a candidate set turns
-//! into a result list.
+//! Every ranking in the crate — the IVF list scan, the quantized shortlist
+//! and rerank, the exact flat scan, the proximity beam's final pick, and the
+//! router's cross-shard merge — selects through [`TopK`], so a backend swap
+//! or a shard count can never change how a candidate set turns into a
+//! result list.
+//!
+//! **The rank order is total:** score descending, then id ascending, and a
+//! NaN score ranks below every number. A candidate set therefore has exactly
+//! one top-`k`, whatever order its candidates arrive in: streaming
+//! selection, selection over chunks re-merged (per list, per shard), and a
+//! sort of everything all give the same list.
 
-/// Top-`k` of a candidate list by descending score: partial selection, then
-/// a sort of just the head. Deterministic for a fixed candidate order.
-pub fn top_k_desc(mut scored: Vec<(u64, f32)>, k: usize) -> Vec<(u64, f32)> {
-    let desc =
-        |a: &(u64, f32), b: &(u64, f32)| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal);
-    if k == 0 || scored.is_empty() {
-        scored.truncate(k);
-        return scored;
+use std::cmp::Ordering;
+
+/// A score's rank key: an integer ordered like the score, with every NaN
+/// below every number and `-0.0 == 0.0`.
+#[inline]
+fn rank_key(score: f32) -> u32 {
+    // `+ 0.0` turns -0.0 into 0.0; setting the sign bit of a positive float
+    // and flipping every bit of a negative one maps float order onto
+    // unsigned order. No number maps to 0, which is left for NaN.
+    let bits = (score + 0.0).to_bits();
+    let key = if bits >> 31 == 0 { bits | 1 << 31 } else { !bits };
+    if score.is_nan() {
+        0
+    } else {
+        key
     }
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k - 1, desc);
-        scored.truncate(k);
+}
+
+/// A buffered candidate with its rank key computed once, so the selections
+/// compare integers (and the entry still packs into 16 bytes).
+#[derive(Clone, Copy)]
+struct Slot {
+    id: u64,
+    score: f32,
+    key: u32,
+}
+
+/// The crate's rank order: `Less` when `a` ranks before `b` — higher score
+/// first, NaN below every number, ties broken by the lower id.
+#[inline]
+fn rank_order(a: &Slot, b: &Slot) -> Ordering {
+    b.key.cmp(&a.key).then(a.id.cmp(&b.id))
+}
+
+/// Bounded streaming top-`k` in the rank order. Candidates are pushed one
+/// at a time into a buffer of at most `2k` entries; when it fills, it is
+/// compacted to its `k` best with a linear-time selection, and from then on
+/// any score below the current `k`-th best is rejected by one comparison.
+/// A query's working set is O(k) however many candidates it scores.
+pub struct TopK {
+    k: usize,
+    /// `slots[..len]` are the kept candidates; the slots past them let
+    /// `push` write a candidate before deciding whether to keep it.
+    slots: Vec<Slot>,
+    len: usize,
+    /// Rank key of the `k`-th best candidate at the last compaction:
+    /// nothing ranking strictly below it can still make the top `k`.
+    floor: u32,
+}
+
+impl TopK {
+    pub fn new(k: usize) -> Self {
+        Self { k, slots: Vec::new(), len: 0, floor: 0 }
     }
-    scored.sort_by(desc);
-    scored
+
+    /// Buffer length that triggers a compaction: `2k`, and at least one
+    /// slot so that `k = 0` has somewhere to write.
+    #[inline]
+    fn cap(&self) -> usize {
+        self.k.saturating_mul(2).max(1)
+    }
+
+    #[inline]
+    pub fn push(&mut self, id: u64, score: f32) {
+        if self.len == self.slots.len() {
+            self.grow();
+        }
+        // Write, then keep it only if it can still make the top `k`: no
+        // branch on the score, whose outcome the CPU cannot predict.
+        let key = rank_key(score);
+        self.slots[self.len] = Slot { id, score, key };
+        self.len += usize::from(key >= self.floor);
+        if self.len == self.cap() {
+            self.compact();
+        }
+    }
+
+    /// Double the slots (256 at first), never past the compaction point.
+    #[cold]
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(256).min(self.cap());
+        self.slots.resize(slots, Slot { id: 0, score: 0.0, key: 0 });
+    }
+
+    /// Keep the `k` best buffered candidates and raise the floor to the
+    /// `k`-th one's key.
+    #[inline(never)]
+    fn compact(&mut self) {
+        if self.len <= self.k {
+            return;
+        }
+        if let Some(kth) = self.k.checked_sub(1) {
+            self.slots[..self.len].select_nth_unstable_by(kth, rank_order);
+            self.floor = self.slots[kth].key;
+        }
+        self.len = self.k;
+    }
+
+    /// The top `k` pushed so far, sorted in the rank order.
+    pub fn finish(mut self) -> Vec<(u64, f32)> {
+        self.compact();
+        let top = &mut self.slots[..self.len];
+        top.sort_unstable_by(rank_order);
+        top.iter().map(|s| (s.id, s.score)).collect()
+    }
+
+    /// The top `k` pushed so far in no particular order, for a caller that
+    /// re-ranks them anyway (the quantized rerank).
+    pub(crate) fn finish_unordered(mut self) -> impl Iterator<Item = (u64, f32)> {
+        self.compact();
+        self.slots.truncate(self.len);
+        self.slots.into_iter().map(|s| (s.id, s.score))
+    }
+}
+
+/// Top-`k` of a candidate list in the rank order: push everything, finish.
+pub fn top_k_desc(scored: Vec<(u64, f32)>, k: usize) -> Vec<(u64, f32)> {
+    let mut top = TopK::new(k);
+    for (id, score) in scored {
+        top.push(id, score);
+    }
+    top.finish()
 }
 
 #[cfg(test)]
@@ -58,23 +170,32 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_for_a_fixed_candidate_order() {
-        // Ties are broken by the selection/sort order, which only depends on
-        // the input order — the property every backend's candidate stream
-        // relies on.
-        let scored = vec![(1, 1.0), (2, 1.0), (3, 1.0), (4, 2.0)];
-        let a = top_k_desc(scored.clone(), 2);
-        let b = top_k_desc(scored, 2);
-        assert_eq!(a, b);
-        assert_eq!(a[0].0, 4);
+    fn ties_break_by_id_whatever_the_candidate_order() {
+        let scored = vec![(1, 1.0), (2, 1.0), (3, 1.0)];
+        let reversed: Vec<(u64, f32)> = scored.iter().rev().copied().collect();
+        assert_eq!(top_k_desc(scored.clone(), 1), vec![(1, 1.0)]);
+        assert_eq!(top_k_desc(reversed, 1), vec![(1, 1.0)]);
+        assert_eq!(ids(&top_k_desc(vec![(9, 1.0), (4, 2.0), (3, 1.0), (5, 1.0)], 3)), [4, 3, 5]);
     }
 
     #[test]
-    fn nan_scores_do_not_panic() {
-        // partial_cmp on NaN falls back to Equal; selection still returns k
-        // items without panicking (hot-path rule L001).
-        let scored = vec![(1, f32::NAN), (2, 1.0), (3, 0.5)];
-        let got = top_k_desc(scored, 2);
-        assert_eq!(got.len(), 2);
+    fn nan_ranks_last() {
+        let scored = vec![(1, f32::NAN), (2, f32::NEG_INFINITY), (3, 0.5)];
+        assert_eq!(ids(&top_k_desc(scored.clone(), 3)), vec![3, 2, 1]);
+        assert_eq!(ids(&top_k_desc(scored, 2)), vec![3, 2]);
+    }
+
+    #[test]
+    fn streaming_past_many_compactions_matches_a_full_sort() {
+        let scored: Vec<(u64, f32)> = (0..1000u64).map(|i| (i, ((i * 7919) % 61) as f32)).collect();
+        let mut want = scored.clone();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        want.truncate(10);
+        let mut top = TopK::new(10);
+        for &(id, s) in &scored {
+            top.push(id, s);
+        }
+        assert!(top.slots.len() <= 20, "the buffer must stay within 2k");
+        assert_eq!(top.finish(), want);
     }
 }

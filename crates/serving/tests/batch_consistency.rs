@@ -1,6 +1,7 @@
 //! Property-based consistency: `handle_batch` over any request mix must be
 //! observationally identical to issuing the same requests one at a time,
-//! regardless of batch composition, duplicates, or cache state.
+//! regardless of batch composition, duplicates, or cache state — and the
+//! top-k selection under it must not depend on candidate order.
 
 use std::sync::{Arc, OnceLock};
 
@@ -8,16 +9,18 @@ use proptest::prelude::*;
 use zoomer_data::{TaobaoConfig, TaobaoData};
 use zoomer_graph::NodeId;
 use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
+use zoomer_serving::topk::{top_k_desc, TopK};
 use zoomer_serving::{IvfIndex, OnlineServer, Query, ServingConfig};
 use zoomer_tensor::{seeded_rng, Matrix};
 
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 static SERVER: OnceLock<(OnlineServer, Vec<(NodeId, NodeId)>)> = OnceLock::new();
 
 static INDEX: OnceLock<IvfIndex> = OnceLock::new();
 
-/// A small IVF index shared across the parallel-search property cases.
+/// A small IVF index shared across the multi-query search property cases.
 fn ivf_index() -> &'static IvfIndex {
     INDEX.get_or_init(|| {
         let mut rng = seeded_rng(91);
@@ -100,14 +103,12 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 
-    /// Kernel-PR property: splitting a query batch across any number of
-    /// parallel chunks — including chunk counts that leave a ragged final
-    /// chunk or exceed the row count — returns exactly the per-query
-    /// results, ids and scores bit-for-bit.
+    /// A multi-query IVF probe returns exactly each row's single-query
+    /// result, ids and scores bit-for-bit, at any batch size (including
+    /// ragged `dot4` blocks), `k` and `nprobe`.
     #[test]
-    fn search_batch_is_chunk_invariant(
+    fn search_batch_rows_match_single_searches(
         n_queries in 1usize..48,
-        chunks in 2usize..64,
         qseed in 0u64..1000,
         k in 1usize..12,
         nprobe in 1usize..6,
@@ -119,10 +120,9 @@ proptest! {
             index.dim(),
             (0..n_queries * index.dim()).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
         );
-        let sequential = index.search_batch_chunked(&queries, k, nprobe, 1).expect("serial");
-        let chunked = index.search_batch_chunked(&queries, k, nprobe, chunks).expect("chunked");
-        prop_assert_eq!(&sequential, &chunked, "chunks={}", chunks);
-        for (row, expect) in sequential.iter().enumerate() {
+        let batched = index.search_batch(&queries, k, nprobe).expect("batch");
+        prop_assert_eq!(batched.len(), n_queries);
+        for (row, expect) in batched.iter().enumerate() {
             let single = index.search(queries.row(row), k, nprobe).expect("single");
             let expect_bits: Vec<(u64, u32)> =
                 expect.iter().map(|&(id, s)| (id, s.to_bits())).collect();
@@ -130,5 +130,36 @@ proptest! {
                 single.iter().map(|&(id, s)| (id, s.to_bits())).collect();
             prop_assert_eq!(expect_bits, single_bits, "row {}", row);
         }
+    }
+
+    /// The rank order is total: a [`TopK`] fed any permutation of the
+    /// candidates, or fed chunk by chunk with the chunk winners re-merged
+    /// (what a sharded merge does), returns exactly "sort everything by
+    /// (score desc, id asc), keep k". Scores come from four values, so ties
+    /// are everywhere.
+    #[test]
+    fn topk_is_invariant_to_candidate_order_and_chunking(
+        score_picks in prop::collection::vec(0usize..4, 0..160),
+        k in 0usize..40,
+        chunk in 1usize..50,
+        perm_seed in 0u64..1000,
+    ) {
+        const SCORES: [f32; 4] = [-1.5, 0.0, 0.25, 2.0];
+        let mut candidates: Vec<(u64, f32)> =
+            score_picks.iter().enumerate().map(|(i, &p)| (3 + 7 * i as u64, SCORES[p])).collect();
+        let mut want = candidates.clone();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        want.truncate(k);
+
+        candidates.shuffle(&mut seeded_rng(perm_seed));
+        let mut streamed = TopK::new(k);
+        for &(id, s) in &candidates {
+            streamed.push(id, s);
+        }
+        prop_assert_eq!(&streamed.finish(), &want, "one permuted stream");
+
+        let winners: Vec<(u64, f32)> =
+            candidates.chunks(chunk).flat_map(|c| top_k_desc(c.to_vec(), k)).collect();
+        prop_assert_eq!(&top_k_desc(winners, k), &want, "chunks of {} re-merged", chunk);
     }
 }

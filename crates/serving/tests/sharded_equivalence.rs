@@ -4,7 +4,8 @@
 //! same server as a plain [`OnlineServer`] — not "close", bit-identical,
 //! scores included (proptest-pinned, same spirit as `backend_parity.rs`).
 //! At higher shard counts the exact backend must still produce the global
-//! top-k (partition + merge loses nothing an exact scan would find), and
+//! top-k (partition + merge loses nothing an exact scan would find, and
+//! breaks score ties across shards exactly as one shard does), and
 //! shard-reply faults must degrade the batch instead of erroring it.
 
 use std::collections::BTreeMap;
@@ -13,7 +14,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use zoomer_data::{TaobaoConfig, TaobaoData};
-use zoomer_graph::{HeteroGraph, NodeId};
+use zoomer_graph::{GraphBuilder, HeteroGraph, NodeId};
 use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
 use zoomer_obs::MetricsRegistry;
 use zoomer_serving::{
@@ -43,8 +44,38 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// The same data, rebuilt so that every item copies the fields and dense
+/// features of one of eight prototype items: each item-tower embedding is
+/// shared, bit for bit, by about ten items spread over the shards, so every
+/// query's top-k is decided by exact score ties.
+fn tied_fixture() -> &'static Fixture {
+    static FIX: OnceLock<Fixture> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let data = TaobaoData::generate(TaobaoConfig::tiny(64));
+        let (g, first_item) = (&data.graph, data.first_item_node());
+        let mut b = GraphBuilder::new(g.features().dense_dim());
+        for n in 0..g.num_nodes() as NodeId {
+            let src = if n >= first_item { first_item + (n - first_item) % 8 } else { n };
+            let terms = g.features().terms(src).to_vec();
+            b.add_node(g.node_type(src), g.fields(src).to_vec(), terms, g.dense_feature(src));
+        }
+        for log in &data.logs {
+            b.add_search_session(log.user, log.query, &log.clicked);
+        }
+        b.dedup_edges();
+        let graph = b.finish();
+        let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(17, g.features().dense_dim()));
+        let frozen = model.freeze(&graph);
+        let logs = data.logs.iter().take(100).map(|l| (l.user, l.query)).collect();
+        Fixture { graph: Arc::new(graph), frozen, pool: data.item_nodes(), logs }
+    })
+}
+
 fn builder(config: ServingConfig) -> ServerBuilder {
-    let fix = fixture();
+    builder_on(fixture(), config)
+}
+
+fn builder_on(fix: &Fixture, config: ServingConfig) -> ServerBuilder {
     OnlineServer::builder()
         .graph(Arc::clone(&fix.graph))
         .frozen(fix.frozen.clone())
@@ -143,6 +174,27 @@ fn exact_backend_merge_recovers_the_global_topk() {
         assert_eq!(sharded.num_shards(), shards);
         let got = sharded.handle_batch(&queries).expect("sharded serve");
         assert_eq!(want, got, "exact scatter-gather lost candidates at N={shards}");
+    }
+}
+
+/// Exact score ties across shards break by id, as in one shard: over the
+/// tied pool, the merged exact top-k at N ∈ {2, 4} is the un-sharded one,
+/// ids and scores.
+#[test]
+fn ties_across_shards_merge_to_the_unsharded_ids() {
+    let fix = tied_fixture();
+    let queries = queries_from(&[0, 3, 9, 14, 27, 33], &[0, 0, 0, 4, 0, 8]);
+    let single = builder_on(fix, config(BackendKind::Exact, 1)).build().expect("single build");
+    let want = single.handle_batch_scored(&queries, Deadline::none()).expect("single serve");
+    assert!(
+        want.iter().all(|r| r.items.windows(2).any(|w| w[0].1 == w[1].1)),
+        "the tied pool must put score ties inside every row's top-k"
+    );
+    for shards in [2usize, 4] {
+        let sharded = ShardedServer::build(builder_on(fix, config(BackendKind::Exact, shards)))
+            .expect("sharded build");
+        let got = sharded.handle_batch_scored(&queries, Deadline::none()).expect("sharded serve");
+        assert_eq!(score_bits(&want), score_bits(&got), "tied pool diverged at N={shards}");
     }
 }
 
