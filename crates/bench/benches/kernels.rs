@@ -21,7 +21,9 @@ use std::time::Instant;
 use zoomer_bench::{banner, write_json, BenchScale};
 use zoomer_core::model::{ModelConfig, UnifiedCtrModel};
 use zoomer_core::serving::{FrozenModel, IvfIndex, OnlineServer, Query, ServingConfig};
-use zoomer_core::tensor::{dot, dot4, kernel, seeded_rng, similarity::dot_reference, Matrix};
+use zoomer_core::tensor::{
+    dot, dot_tile, kernel, seeded_rng, similarity::dot_reference, Matrix, TILE_LANES,
+};
 use zoomer_data::{TaobaoConfig, TaobaoData};
 
 use rand::Rng;
@@ -134,31 +136,31 @@ fn main() {
         }));
     }
 
-    // ---- dot: scalar reference vs unrolled lanes vs dot4 ----
+    // ---- dot: scalar reference vs unrolled lanes vs one IVF tile ----
     let mut dot_rows = Vec::new();
     println!("\n-- dot --");
     println!(
         "{:>6} {:>12} {:>12} {:>14} {:>9}",
-        "d", "scalar ns", "lanes ns", "dot4 ns/qry", "spd"
+        "d", "scalar ns", "lanes ns", "tile ns/ent", "spd"
     );
     for &d in &[16usize, 64, 256] {
         let mut rng = seeded_rng(seed + d as u64);
         let v: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let qs: Vec<Vec<f32>> =
-            (0..4).map(|_| (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
+        let q: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let tile: Vec<f32> = (0..d * TILE_LANES).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let scalar = time_ns(smoke, || {
-            std::hint::black_box(dot_reference(&v, &qs[0]));
+            std::hint::black_box(dot_reference(&v, &q));
         });
         let lanes = time_ns(smoke, || {
-            std::hint::black_box(dot(&v, &qs[0]));
+            std::hint::black_box(dot(&v, &q));
         });
-        let four = time_ns(smoke, || {
-            std::hint::black_box(dot4(&v, &qs[0], &qs[1], &qs[2], &qs[3]));
-        }) / 4.0;
-        println!("{d:>6} {scalar:>12.1} {lanes:>12.1} {four:>14.1} {:>8.2}x", scalar / lanes);
+        let per_entry = time_ns(smoke, || {
+            std::hint::black_box(dot_tile::<0>(&tile, &q));
+        }) / TILE_LANES as f64;
+        println!("{d:>6} {scalar:>12.1} {lanes:>12.1} {per_entry:>14.1} {:>8.2}x", scalar / lanes);
         dot_rows.push(serde_json::json!({
             "dim": d, "scalar_ns": scalar, "unrolled_ns": lanes,
-            "dot4_ns_per_query": four, "speedup": scalar / lanes,
+            "dot_tile_ns_per_entry": per_entry, "speedup": scalar / lanes,
         }));
     }
 

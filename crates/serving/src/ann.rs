@@ -6,11 +6,16 @@
 //! k-means coarse quantizer partitions vectors into `nlist` inverted lists;
 //! a query probes the `nprobe` nearest lists and scores their members
 //! exactly by inner product.
+//!
+//! Each inverted list is stored as tiles of [`TILE_LANES`] entries laid side
+//! by side, and a probe scores one tile at a time: [`dot_tile`] gives the
+//! eight scores without a horizontal reduction, and [`TopK::push_tile`]
+//! pushes only the lanes that can still make the query's top `k`.
 
 use std::ops::Range;
 
 use zoomer_obs::{Counter, MetricsRegistry};
-use zoomer_tensor::{dot, dot4, seeded_rng, Matrix};
+use zoomer_tensor::{dot_tile, seeded_rng, Matrix, TILE_LANES};
 
 use rand::seq::SliceRandom;
 
@@ -19,14 +24,46 @@ use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::topk::TopK;
 
-/// One inverted list: entry ids plus their vectors flattened row-major into
-/// a single contiguous buffer (`vectors.len() == ids.len() * dim`), so a
-/// scoring pass streams sequentially instead of chasing one heap pointer per
-/// entry.
+/// The width of every served model's embeddings: the IVF scan runs a copy
+/// of its tile loop specialised to it, and any other width runs the same
+/// loop at a runtime width.
+const SERVED_DIM: usize = 16;
+
+/// One inverted list: entry ids plus their vectors as tiles. A tile is
+/// `dim` rows of [`TILE_LANES`] floats; entry `e` sits in tile
+/// `e / TILE_LANES`, lane `e % TILE_LANES`, so element `i` of entry `e` is
+/// `tiles[(e / TILE_LANES) * dim * TILE_LANES + i * TILE_LANES + e % TILE_LANES]`.
+/// The last tile is zero-padded; its padded lanes are scored but never
+/// pushed. This is the index's only copy of its vectors.
 #[derive(Clone, Debug, Default)]
 struct InvList {
     ids: Vec<u64>,
-    vectors: Vec<f32>,
+    tiles: Vec<f32>,
+}
+
+impl InvList {
+    /// Append one entry, opening a zeroed tile when the last one is full.
+    fn push(&mut self, dim: usize, id: u64, v: &[f32]) {
+        let lane = self.ids.len() % TILE_LANES;
+        if lane == 0 {
+            self.tiles.resize(self.tiles.len() + dim * TILE_LANES, 0.0);
+        }
+        let tile = &mut self.tiles[self.ids.len() / TILE_LANES * dim * TILE_LANES..];
+        for (row, &x) in tile.chunks_exact_mut(TILE_LANES).zip(v) {
+            row[lane] = x;
+        }
+        self.ids.push(id);
+    }
+
+    /// Every entry's vector read back out of the tiles, row-major.
+    fn rows(&self, dim: usize) -> Vec<f32> {
+        let mut rows = Vec::with_capacity(self.ids.len() * dim);
+        for e in 0..self.ids.len() {
+            let tile = &self.tiles[e / TILE_LANES * dim * TILE_LANES..];
+            rows.extend((0..dim).map(|i| tile[i * TILE_LANES + e % TILE_LANES]));
+        }
+        rows
+    }
 }
 
 /// Probe-volume counters reported by the index: how many (query, list)
@@ -85,9 +122,7 @@ impl IvfIndex {
         }
         let mut lists: Vec<InvList> = vec![InvList::default(); nlist];
         for (i, (id, v)) in items.iter().enumerate() {
-            let list = &mut lists[assignment[i]];
-            list.ids.push(*id);
-            list.vectors.extend_from_slice(v);
+            lists[assignment[i]].push(dim, *id, v);
         }
         Self { dim, centroids, lists, metrics: None }
     }
@@ -114,11 +149,12 @@ impl IvfIndex {
         &self.centroids
     }
 
-    /// One inverted list's `(ids, row-major f32 vectors)`. `pub(crate)` for
-    /// the quantized backend's build path.
-    pub(crate) fn list_entries(&self, list: usize) -> (&[u64], &[f32]) {
+    /// One inverted list's `(ids, row-major f32 vectors)`, the vectors read
+    /// back out of the tiles. `pub(crate)` for the quantized backend's build
+    /// path.
+    pub(crate) fn list_entries(&self, list: usize) -> (&[u64], Vec<f32>) {
         let il = &self.lists[list];
-        (&il.ids, &il.vectors)
+        (&il.ids, il.rows(self.dim))
     }
 
     pub fn nlist(&self) -> usize {
@@ -148,9 +184,13 @@ impl IvfIndex {
 
     /// Multi-query approximate top-`k`: one query per row of `queries`.
     ///
-    /// Runs on the calling thread. Each probed list is scanned once for
-    /// every query probing it (list-major), and each query keeps one bounded
-    /// [`TopK`] across its lists, so its working set is O(`k`), not
+    /// Runs on the calling thread: [`Self::search_batch_deadline`] with no
+    /// deadline. Lists are visited in probe-rank rounds — round `r` scans
+    /// every query's `(r+1)`-th nearest list, each list once for all the
+    /// queries probing it in that round — so every query meets its nearest
+    /// list first and its [`TopK`] floor rises early, which leaves fewer
+    /// candidates to push from the lists after it. Each query keeps one
+    /// bounded `TopK` across its lists, so its working set is O(`k`), not
     /// O(candidates). Results are in the crate's total rank order — score
     /// descending, then id ascending ([`crate::topk`]) — so a row never
     /// depends on batch composition or on the order lists are visited.
@@ -160,18 +200,7 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        if queries.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        self.check_width(queries.cols())?;
-        let nprobe = nprobe.max(1).min(self.centroids.len());
-        let orders = probe_orders(&self.centroids, queries, nprobe);
-        let mut probers = vec![Vec::new(); self.centroids.len()];
-        fill_probers(&orders, 0..nprobe, &mut probers);
-        let mut tops: Vec<TopK> = (0..queries.rows()).map(|_| TopK::new(k)).collect();
-        let (probes, candidates) = self.scan_lists(&probers, queries, &mut tops);
-        self.publish(probes, candidates);
-        Ok(tops.into_iter().map(TopK::finish).collect())
+        Ok(self.search_batch_deadline(queries, k, nprobe, &Deadline::none(), |_| {})?.results)
     }
 
     fn check_width(&self, got: usize) -> Result<(), ServingError> {
@@ -201,34 +230,33 @@ impl IvfIndex {
     }
 
     /// Score every query in `qis` (batch row indices) against one inverted
-    /// list, pushing `(id, score)` into `tops[qi]`. Queries are scored four
-    /// at a time through `dot4`, which feeds four independent accumulator
-    /// chains per loaded entry element — a single query's dot product is
-    /// bound by the FMA latency chain; a batch supplies the independent work
-    /// that fills the pipeline. `dot4` applies `dot`'s exact lane scheme per
-    /// query, so a score never depends on how its query was grouped.
+    /// list, pushing `(id, score)` into `tops[qi]`: for each query, for each
+    /// tile, [`dot_tile`] then [`TopK::push_tile`]. `dot_tile` applies
+    /// `dot`'s exact lane scheme per entry, so a score never depends on the
+    /// tile its entry sits in or on which queries share the pass.
     fn score_one_list(&self, list: usize, qis: &[u32], queries: &Matrix, tops: &mut [TopK]) {
-        let il = &self.lists[list];
-        let d = self.dim;
-        let mut blocks = qis.chunks_exact(4);
-        for b in &mut blocks {
-            let q0 = &queries.row(b[0] as usize)[..d];
-            let q1 = &queries.row(b[1] as usize)[..d];
-            let q2 = &queries.row(b[2] as usize)[..d];
-            let q3 = &queries.row(b[3] as usize)[..d];
-            for (ei, &id) in il.ids.iter().enumerate() {
-                let s = dot4(&il.vectors[ei * d..ei * d + d], q0, q1, q2, q3);
-                tops[b[0] as usize].push(id, s[0]);
-                tops[b[1] as usize].push(id, s[1]);
-                tops[b[2] as usize].push(id, s[2]);
-                tops[b[3] as usize].push(id, s[3]);
-            }
+        match self.dim {
+            SERVED_DIM => self.score_tiles::<SERVED_DIM>(list, qis, queries, tops),
+            _ => self.score_tiles::<0>(list, qis, queries, tops),
         }
-        for &qi in blocks.remainder() {
+    }
+
+    /// [`Self::score_one_list`] at the width `W` (`0`: the runtime width).
+    fn score_tiles<const W: usize>(
+        &self,
+        list: usize,
+        qis: &[u32],
+        queries: &Matrix,
+        tops: &mut [TopK],
+    ) {
+        let il = &self.lists[list];
+        let tile_len = self.dim * TILE_LANES;
+        for &qi in qis {
             let q = queries.row(qi as usize);
             let top = &mut tops[qi as usize];
-            for (ei, &id) in il.ids.iter().enumerate() {
-                top.push(id, dot(&il.vectors[ei * d..ei * d + d], q));
+            for (t, ids) in il.ids.chunks(TILE_LANES).enumerate() {
+                let tile = &il.tiles[t * tile_len..(t + 1) * tile_len];
+                top.push_tile(ids, &dot_tile::<W>(tile, q));
             }
         }
     }
@@ -538,5 +566,49 @@ mod tests {
         let idx = IvfIndex::build(&items, 2, 2, 8);
         let err = idx.search(&[0.0; 3], 1, 1).expect_err("mismatched width must be rejected");
         assert_eq!(err, crate::error::ServingError::DimensionMismatch { expected: 4, got: 3 });
+    }
+
+    /// An index built by hand so that its lists hold 0, 1, 7, 8 and 9
+    /// entries — empty, one padded tile, one short of a tile, exactly one,
+    /// one past — at a width that is not a multiple of 8 and at the served
+    /// width: the tiles give the vectors back, and every probe returns what
+    /// an exact flat scan over the same items returns, bit for bit.
+    #[test]
+    fn ragged_tiles_match_an_exact_flat_scan() {
+        let bits = |v: &[(u64, f32)]| -> Vec<(u64, u32)> {
+            v.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+        };
+        let sizes = [0usize, 1, 7, 8, 9];
+        for dim in [11, SERVED_DIM] {
+            let items = random_items(sizes.iter().sum(), dim, 20);
+            let mut lists = vec![InvList::default(); sizes.len()];
+            let mut members = items.iter();
+            for (list, &n) in lists.iter_mut().zip(&sizes) {
+                for (id, v) in members.by_ref().take(n) {
+                    list.push(dim, *id, v);
+                }
+            }
+            let centroids =
+                random_items(sizes.len(), dim, 21).into_iter().map(|(_, v)| v).collect();
+            let idx = IvfIndex { dim, centroids, lists, metrics: None };
+            let ids: Vec<u64> = items.iter().map(|(id, _)| *id).collect();
+            let flat: Vec<f32> = items.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+            let rows: Vec<f32> = (0..sizes.len()).flat_map(|l| idx.list_entries(l).1).collect();
+            assert_eq!(rows, flat, "dim {dim}: the tiles must give the vectors back");
+
+            let queries: Vec<Vec<f32>> =
+                random_items(9, dim, 22).into_iter().map(|(_, v)| v).collect();
+            let rows: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
+            let m = Matrix::from_rows(&rows);
+            for k in [1, 5, 25, 40] {
+                let batched = idx.search_batch(&m, k, sizes.len()).expect("batch");
+                for (q, got) in queries.iter().zip(&batched) {
+                    let want = bits(&crate::backend::scan_flat(&ids, &flat, dim, q, k));
+                    assert_eq!(bits(got), want, "dim {dim} k {k}: batched row");
+                    let exact = idx.exact_search(q, k).expect("exact");
+                    assert_eq!(bits(&exact), want, "dim {dim} k {k}: exact_search");
+                }
+            }
+        }
     }
 }

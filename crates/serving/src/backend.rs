@@ -192,8 +192,8 @@ pub trait SearchBackend {
 
 /// Exact top-`k` of one query over a flat `(ids, row-major vectors)` pool
 /// by inner product, streamed through a [`TopK`]. `dot` applies the exact
-/// lane scheme `dot4` uses per query, so these scores are bit-identical to
-/// any blocked scoring of the same pairs.
+/// lane scheme `dot_tile` uses per entry, so these scores are bit-identical
+/// to the IVF scan's tile scoring of the same pairs.
 pub(crate) fn scan_flat(
     ids: &[u64],
     vectors: &[f32],

@@ -562,6 +562,7 @@ fn run_closed_loop<S: QueryService>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultInjector, FaultPlan, FaultSite};
     use crate::frozen::FrozenModel;
     use crate::server::ServingConfig;
     use zoomer_data::{TaobaoConfig, TaobaoData};
@@ -570,6 +571,13 @@ mod tests {
     use zoomer_obs::MetricsRegistry;
 
     fn server_and_requests(metrics: bool) -> (OnlineServer, Vec<Query>) {
+        server_with_fault(metrics, None)
+    }
+
+    fn server_with_fault(
+        metrics: bool,
+        fault: Option<Arc<FaultInjector>>,
+    ) -> (OnlineServer, Vec<Query>) {
         let data = TaobaoData::generate(TaobaoConfig::tiny(91));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(13, dd));
@@ -587,6 +595,9 @@ mod tests {
             .seed(91);
         if metrics {
             builder = builder.metrics(Arc::new(MetricsRegistry::enabled()));
+        }
+        if let Some(f) = fault {
+            builder = builder.fault(f);
         }
         let server = builder.build().expect("server build");
         let requests: Vec<Query> =
@@ -758,9 +769,13 @@ mod tests {
 
     #[test]
     fn overload_grows_latency() {
-        // Saturating one slow thread must show higher p95 than a gentle
-        // trickle on two threads.
-        let (server, requests) = server_and_requests(false);
+        // Every batch's ANN probe sleeps 1 ms, so the server's service time
+        // is at least that however fast the scan is. A gentle trickle (one
+        // request per 5 ms, two threads) never queues; 50 000/s on one
+        // thread offers 50× what it can serve, so the queue — and p95 —
+        // grows with every arrival.
+        let fault = FaultPlan::new(3).delay(FaultSite::AnnProbe, 1, Duration::from_millis(1));
+        let (server, requests) = server_with_fault(false, Some(Arc::new(fault.build())));
         let gentle = run_load(&server, &requests[..40], &LoadTestSpec::open(200.0).num_threads(2))
             .expect("load run");
         let slam = run_load(&server, &requests, &LoadTestSpec::open(50_000.0)).expect("load run");

@@ -134,7 +134,7 @@ fn unpack(handle: u64) -> (usize, usize) {
 impl QuantizedIvf {
     /// Quantize an existing [`IvfIndex`]: adopt its centroids and list
     /// assignment verbatim, encode every stored vector to i8, and keep the
-    /// f32 rows as the rerank store.
+    /// f32 rows, read back out of the index's tiles, as the rerank store.
     pub fn from_ivf(index: &IvfIndex, nprobe: usize, rerank_factor: usize) -> Self {
         let dim = index.dim();
         let centroids = index.centroid_rows().to_vec();
@@ -146,7 +146,7 @@ impl QuantizedIvf {
                 for e in 0..ids.len() {
                     params.push(quantize_into(&vectors[e * dim..(e + 1) * dim], &mut codes));
                 }
-                QuantList { ids: ids.to_vec(), codes, params, vectors: vectors.to_vec() }
+                QuantList { ids: ids.to_vec(), codes, params, vectors }
             })
             .collect();
         Self {

@@ -11,8 +11,15 @@
 //! one top-`k`, whatever order its candidates arrive in: streaming
 //! selection, selection over chunks re-merged (per list, per shard), and a
 //! sort of everything all give the same list.
+//!
+//! The IVF scan pushes a tile of eight scores at once through
+//! [`TopK::push_tile`], which compares the eight with the floor in one pass
+//! and pushes only the lanes at or above it — exactly the set that pushing
+//! all eight one by one would keep.
 
 use std::cmp::Ordering;
+
+use zoomer_tensor::TILE_LANES;
 
 /// A score's rank key: an integer ordered like the score, with every NaN
 /// below every number and `-0.0 == 0.0`.
@@ -60,11 +67,14 @@ pub struct TopK {
     /// Rank key of the `k`-th best candidate at the last compaction:
     /// nothing ranking strictly below it can still make the top `k`.
     floor: u32,
+    /// That candidate's score; meaningful only while `floor != 0`, when it
+    /// is a number.
+    floor_score: f32,
 }
 
 impl TopK {
     pub fn new(k: usize) -> Self {
-        Self { k, slots: Vec::new(), len: 0, floor: 0 }
+        Self { k, slots: Vec::new(), len: 0, floor: 0, floor_score: 0.0 }
     }
 
     /// Buffer length that triggers a compaction: `2k`, and at least one
@@ -89,6 +99,34 @@ impl TopK {
         }
     }
 
+    /// Push one tile of candidates: `ids[e]` scored `scores[e]`, lanes past
+    /// `ids.len()` are padding and never pushed. Keeps exactly what pushing
+    /// the lanes one by one in order would keep: a lane ranking below the
+    /// floor is one `push` would reject (the floor only rises), so only the
+    /// lanes at or above it are pushed. While the floor is the initial key
+    /// (or the `k`-th best is a NaN), every lane is at or above it; once it
+    /// is a number, `score >= floor_score` is exactly `key >= floor` —
+    /// `-0.0 == 0.0`, and a NaN compares false.
+    #[inline]
+    pub fn push_tile(&mut self, ids: &[u64], scores: &[f32; TILE_LANES]) {
+        debug_assert!(ids.len() <= TILE_LANES, "push_tile: more ids than lanes");
+        let valid = (1u32 << ids.len()) - 1;
+        let mut live = if self.floor == 0 {
+            valid
+        } else {
+            let mut above = 0u32;
+            for (e, &s) in scores.iter().enumerate() {
+                above |= u32::from(s >= self.floor_score) << e;
+            }
+            above & valid
+        };
+        while live != 0 {
+            let e = live.trailing_zeros() as usize;
+            live &= live - 1;
+            self.push(ids[e], scores[e]);
+        }
+    }
+
     /// Double the slots (256 at first), never past the compaction point.
     #[cold]
     fn grow(&mut self) {
@@ -106,6 +144,7 @@ impl TopK {
         if let Some(kth) = self.k.checked_sub(1) {
             self.slots[..self.len].select_nth_unstable_by(kth, rank_order);
             self.floor = self.slots[kth].key;
+            self.floor_score = self.slots[kth].score;
         }
         self.len = self.k;
     }
@@ -139,6 +178,7 @@ pub fn top_k_desc(scored: Vec<(u64, f32)>, k: usize) -> Vec<(u64, f32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ids(v: &[(u64, f32)]) -> Vec<u64> {
         v.iter().map(|&(id, _)| id).collect()
@@ -197,5 +237,45 @@ mod tests {
         }
         assert!(top.slots.len() <= 20, "the buffer must stay within 2k");
         assert_eq!(top.finish(), want);
+    }
+
+    fn bits(v: &[(u64, f32)]) -> Vec<(u64, u32)> {
+        v.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+    }
+
+    proptest! {
+        /// `push_tile` over any tiling keeps exactly what pushing each
+        /// candidate keeps. Scores come from a small set (ties everywhere)
+        /// with NaN and both zeros; tiles carry 0 to 8 valid lanes, and the
+        /// padding lanes carry +inf, which would win if it were pushed.
+        #[test]
+        fn push_tile_over_any_tiling_equals_pushing_each_candidate(
+            picks in prop::collection::vec(0usize..6, 0..400),
+            widths in prop::collection::vec(0usize..=TILE_LANES, 1..200),
+            k in 0usize..40,
+        ) {
+            const SCORES: [f32; 6] = [-1.5, -0.0, 0.0, 0.25, 2.0, f32::NAN];
+            let candidates: Vec<(u64, f32)> =
+                picks.iter().enumerate().map(|(i, &p)| ((i as u64 * 7919) % 1009, SCORES[p])).collect();
+            let mut each = TopK::new(k);
+            for &(id, s) in &candidates {
+                each.push(id, s);
+            }
+            let mut tiled = TopK::new(k);
+            let mut widths = widths.into_iter().chain(std::iter::repeat(TILE_LANES));
+            let mut rest = &candidates[..];
+            while !rest.is_empty() {
+                let n = widths.next().unwrap_or(TILE_LANES).min(rest.len());
+                let (tile, tail) = rest.split_at(n);
+                let mut scores = [f32::INFINITY; TILE_LANES];
+                for (lane, &(_, s)) in scores.iter_mut().zip(tile) {
+                    *lane = s;
+                }
+                let ids: Vec<u64> = tile.iter().map(|&(id, _)| id).collect();
+                tiled.push_tile(&ids, &scores);
+                rest = tail;
+            }
+            prop_assert_eq!(bits(&tiled.finish()), bits(&each.finish()));
+        }
     }
 }

@@ -221,12 +221,17 @@ fn overload_with_deadline_sheds_and_metrics_round_trip() {
     // The full overload demo in miniature: a tight queue, a deadline, and
     // far-beyond-capacity offered load. The run must shed, never block, and
     // every new counter must survive the text and JSON snapshot paths.
+    // Every batch's ANN probe sleeps 5 ms, so one worker serves at most 4
+    // requests per 5 ms: 500 000/s into a 4-slot queue is far beyond that
+    // by construction, however fast the scan is.
+    let fault =
+        Arc::new(FaultPlan::new(8).delay(FaultSite::AnnProbe, 1, Duration::from_millis(5)).build());
     let config = ServingConfig {
         top_k: 10,
         deadline: Some(Duration::from_millis(50)),
         ..Default::default()
     };
-    let (data, server) = build_server(config, None);
+    let (data, server) = build_server(config, Some(fault));
     let reqs = requests(&data, 80);
     let spec =
         LoadTestSpec::open(500_000.0).queue_capacity(4).shed(ShedPolicy::RejectNew).batch_size(4);

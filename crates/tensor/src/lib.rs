@@ -36,4 +36,4 @@ pub use metrics::{auc, hit_rate_at_k, mae, mean_reciprocal_rank, ndcg_at_k, rmse
 pub use numerics::{leaky_relu, log_sum_exp, relu, sigmoid, softmax_inplace, stable_softmax};
 pub use quant::{dequantize, quantize, quantize_into, quantized_dot, QuantParams};
 pub use rng::{seeded_rng, xavier_matrix, xavier_vec};
-pub use similarity::{cosine_similarity, dot, dot4, l2_norm, tanimoto_similarity};
+pub use similarity::{cosine_similarity, dot, dot_tile, l2_norm, tanimoto_similarity, TILE_LANES};

@@ -2,10 +2,10 @@
 //!
 //! [`dot`] is the one dot-product implementation in the workspace:
 //! `cosine_similarity`, `tanimoto_similarity`, the frozen model's edge
-//! attention, and the IVF scorer all route through it (or through [`dot4`],
-//! which applies the identical lane scheme to four queries at once, so a
-//! vector scored inside a 4-query block gets bit-for-bit the same value as
-//! one scored alone).
+//! attention, and the exact scans all route through it. The IVF scorer
+//! routes through [`dot_tile`], which applies the identical lane scheme to
+//! eight entries stored side by side, so an entry scored inside a tile gets
+//! bit-for-bit the value `dot` gives it alone.
 
 /// Accumulator lanes of the unrolled [`dot`]: element `i` feeds lane
 /// `i % DOT_LANES`, and the lanes collapse through a fixed pairwise tree.
@@ -38,42 +38,51 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     reduce_lanes(acc)
 }
 
-/// Four dot products of one shared vector `v` against four queries, with
-/// each of the four sums accumulated by exactly the [`dot`] lane scheme —
-/// `dot4(v, ..)[i]` is bit-identical to `dot(v, q_i)` — while `v` is loaded
-/// from memory once instead of four times. This is the IVF batch scorer's
-/// kernel: a single query's dot is bound by the add-latency chain; four
-/// independent chains per loaded element fill the pipeline.
+/// Entries per tile of [`dot_tile`].
+pub const TILE_LANES: usize = 8;
+
+/// Dot products of one query `q` against the [`TILE_LANES`] entries of one
+/// tile: `width` rows of `TILE_LANES` floats, row `i` holding element `i` of
+/// every entry side by side (`tile[i * TILE_LANES + e]` is element `i` of
+/// entry `e`).
+///
+/// Each entry's sum is accumulated by exactly the [`dot`] lane scheme —
+/// element `i` into lane `i % DOT_LANES` from `+0.0`, the lanes collapsed
+/// through the same pairwise tree — only the tree's adds run vertically
+/// across the eight entries instead of across one register's lanes, so
+/// `dot_tile(t, q)[e].to_bits() == dot(entry_e, q).to_bits()`. No lane ever
+/// crosses entries: every add is a plain 8-wide vector add.
+///
+/// `W` is the width when the caller knows it at compile time, so that every
+/// loop unrolls (the IVF scan passes the served models' width); `W = 0`
+/// takes the width from `q.len()`. Both run this one body.
 #[inline]
-pub fn dot4(v: &[f32], q0: &[f32], q1: &[f32], q2: &[f32], q3: &[f32]) -> [f32; 4] {
-    let d = v.len();
-    debug_assert!(
-        q0.len() == d && q1.len() == d && q2.len() == d && q3.len() == d,
-        "dot4: length mismatch"
-    );
-    let mut acc = [[0.0f32; DOT_LANES]; 4];
-    let mut i = 0;
-    while i + DOT_LANES <= d {
-        let xv = &v[i..i + DOT_LANES];
-        let (x0, x1) = (&q0[i..i + DOT_LANES], &q1[i..i + DOT_LANES]);
-        let (x2, x3) = (&q2[i..i + DOT_LANES], &q3[i..i + DOT_LANES]);
-        for j in 0..DOT_LANES {
-            let x = xv[j];
-            acc[0][j] += x * x0[j];
-            acc[1][j] += x * x1[j];
-            acc[2][j] += x * x2[j];
-            acc[3][j] += x * x3[j];
+pub fn dot_tile<const W: usize>(tile: &[f32], q: &[f32]) -> [f32; TILE_LANES] {
+    let width = if W == 0 { q.len() } else { W };
+    debug_assert_eq!(tile.len(), width * TILE_LANES, "dot_tile: tile/query width mismatch");
+    let (tile, q) = (&tile[..width * TILE_LANES], &q[..width]);
+    // Lane `j` of all eight sums: elements j, j + 8, … in order, from
+    // `+0.0`. Lanes are built one at a time and folded into the tree as
+    // they complete, so only the tree's partial sums are live — not all 64
+    // accumulators, which would not fit the vector registers.
+    let lane = |j: usize| -> [f32; TILE_LANES] {
+        let mut acc = [0.0f32; TILE_LANES];
+        let mut i = j;
+        while i < width {
+            for (a, &v) in acc.iter_mut().zip(&tile[i * TILE_LANES..(i + 1) * TILE_LANES]) {
+                *a += v * q[i];
+            }
+            i += DOT_LANES;
         }
-        i += DOT_LANES;
-    }
-    for j in 0..(d - i) {
-        let x = v[i + j];
-        acc[0][j] += x * q0[i + j];
-        acc[1][j] += x * q1[i + j];
-        acc[2][j] += x * q2[i + j];
-        acc[3][j] += x * q3[i + j];
-    }
-    [reduce_lanes(acc[0]), reduce_lanes(acc[1]), reduce_lanes(acc[2]), reduce_lanes(acc[3])]
+        acc
+    };
+    let add = |a: [f32; TILE_LANES], b: [f32; TILE_LANES]| -> [f32; TILE_LANES] {
+        std::array::from_fn(|e| a[e] + b[e])
+    };
+    add(
+        add(add(lane(0), lane(1)), add(lane(2), lane(3))),
+        add(add(lane(4), lane(5)), add(lane(6), lane(7))),
+    )
 }
 
 /// The seed's scalar sequential dot, kept as the oracle the unrolled
@@ -168,24 +177,6 @@ mod tests {
             let got = dot(&a, &b);
             let want = dot_reference(&a, &b);
             assert!((got - want).abs() <= 1e-4 * (1.0 + want.abs()), "d={d}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn dot4_is_bitwise_dot_per_query() {
-        for d in [0usize, 1, 5, 8, 13, 16, 29, 64] {
-            let v: Vec<f32> = (0..d).map(|i| ((i * 31 % 17) as f32 - 8.0) / 3.0).collect();
-            let qs: Vec<Vec<f32>> = (0..4)
-                .map(|q| (0..d).map(|i| ((i * 41 + q * 7) % 13) as f32 - 6.0).collect())
-                .collect();
-            let got = dot4(&v, &qs[0], &qs[1], &qs[2], &qs[3]);
-            for (qi, q) in qs.iter().enumerate() {
-                assert_eq!(
-                    got[qi].to_bits(),
-                    dot(&v, q).to_bits(),
-                    "d={d} q={qi}: dot4 diverges from dot"
-                );
-            }
         }
     }
 

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use zoomer_tensor::{
-    auc, cosine_similarity, dot, dot4, kernel, stable_softmax, tanimoto_similarity, Matrix,
+    auc, cosine_similarity, dot, dot_tile, kernel, stable_softmax, tanimoto_similarity, Matrix,
+    TILE_LANES,
 };
 
 fn small_f32() -> impl Strategy<Value = f32> {
@@ -21,6 +22,18 @@ fn kernel_f32() -> impl Strategy<Value = f32> {
             (x * 25.0).round() / 25.0
         }
     })
+}
+
+/// Widths the tile-kernel suite covers: empty, below, at and around one
+/// lane block, the served width and its neighbours, and wide.
+const TILE_WIDTHS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 64];
+
+/// Values for the tile-kernel suite: mostly small finite numbers, with
+/// ±0.0, subnormals, ±inf and NaN mixed in.
+fn tile_f32() -> impl Strategy<Value = f32> {
+    const SPECIAL: [f32; 7] =
+        [0.0, -0.0, 1e-40, -3e-39, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    (0usize..48, -4.0f32..4.0).prop_map(|(pick, x)| SPECIAL.get(pick).copied().unwrap_or(x))
 }
 
 fn vec_f32(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -163,19 +176,35 @@ proptest! {
         prop_assert_eq!(expect_bits, got_bits);
     }
 
-    /// Satellite (c): the 4-query blocked scorer applies the exact lane
-    /// scheme of the single-query `dot`, so block-scored and
-    /// remainder-scored queries in the IVF path are bit-identical.
+    /// The IVF tile scorer applies the exact lane scheme of the single-entry
+    /// `dot` to every entry of a tile, at a runtime width and at the
+    /// compile-time width the IVF scan specialises, so a tile-scored
+    /// candidate is bit-identical to one scored alone — special values
+    /// included. `finite` cases keep the sums numeric at the wide widths,
+    /// where a NaN or infinity somewhere is otherwise almost certain.
     #[test]
-    fn dot4_bitwise_matches_dot(
-        len in 0usize..40,
-        seed_vecs in prop::collection::vec(kernel_f32(), 200),
+    fn dot_tile_bitwise_matches_dot_per_entry(
+        width_pick in 0usize..TILE_WIDTHS.len(),
+        finite in prop::bool::ANY,
+        pool in prop::collection::vec(tile_f32(), (TILE_LANES + 1) * 64),
     ) {
-        let take = |o: usize| -> Vec<f32> { seed_vecs[o..o + len].to_vec() };
-        let (v, q0, q1, q2, q3) = (take(0), take(40), take(80), take(120), take(160));
-        let got = dot4(&v, &q0, &q1, &q2, &q3);
-        let want = [dot(&v, &q0), dot(&v, &q1), dot(&v, &q2), dot(&v, &q3)];
-        prop_assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
+        let width = TILE_WIDTHS[width_pick];
+        let pool: Vec<f32> =
+            pool.into_iter().map(|x| if finite && !x.is_finite() { 1.5 } else { x }).collect();
+        let q = &pool[..width];
+        let entries: Vec<&[f32]> = (1..=TILE_LANES).map(|e| &pool[e * 64..e * 64 + width]).collect();
+        let mut tile = vec![f32::NAN; width * TILE_LANES];
+        for (e, v) in entries.iter().enumerate() {
+            for (i, &x) in v.iter().enumerate() {
+                tile[i * TILE_LANES + e] = x;
+            }
+        }
+        let want: Vec<u32> = entries.iter().map(|v| dot(v, q).to_bits()).collect();
+        let got = dot_tile::<0>(&tile, q).map(f32::to_bits);
+        prop_assert_eq!(got.to_vec(), want.clone(), "width {}", width);
+        if width == 16 {
+            prop_assert_eq!(dot_tile::<16>(&tile, q).map(f32::to_bits).to_vec(), want);
+        }
     }
 
     /// PR 8 tentpole: quantize→dequantize round-trip error is at most
