@@ -38,6 +38,11 @@ ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench obs_ov
 echo "== backends bench (smoke mode: recall/latency harness executes, baseline untouched) =="
 ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench backends
 
+echo "== training figure harnesses (smoke mode: every preset, the ablation flags and Fig 13's coupling coefficients through the level-major encoder) =="
+ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench table3_taobao
+ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench fig8_ablation
+ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench fig13_heatmaps
+
 echo "== benchmark package (own workspace: links the serving API, smoke-runs every workload, checks BENCHMARK.json names) =="
 # `bench/` is outside this workspace, so nothing above compiles it; an API
 # break there would otherwise surface only in the benchmark run itself.

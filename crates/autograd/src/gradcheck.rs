@@ -260,4 +260,93 @@ mod tests {
         });
         assert!(r.passes(TOL), "{r:?}");
     }
+
+    #[test]
+    fn gradcheck_gather_rows_repeated_and_unused() {
+        let mut rng = seeded_rng(22);
+        let src = random_matrix(&mut rng, 4, 3);
+        let w = random_matrix(&mut rng, 3, 1);
+        // Row 2 is gathered three times, rows 1 and 3 never.
+        let r = check_gradients(&[src, w], 1e-2, |t, v| {
+            let g = t.gather_rows(v[0], &[2, 0, 2, 2]);
+            let y = t.matmul(g, v[1]);
+            t.squared_frobenius(y)
+        });
+        assert!(r.passes(TOL), "{r:?}");
+    }
+
+    #[test]
+    fn gradcheck_segment_softmax_with_singletons() {
+        let mut rng = seeded_rng(23);
+        let col = random_matrix(&mut rng, 6, 1);
+        let weights = random_matrix(&mut rng, 6, 1);
+        // Segments {0}, {1, 2, 3}, {}, {4}, {5}.
+        let r = check_gradients(&[col, weights], 1e-2, |t, v| {
+            let y = t.segment_softmax(v[0], &[0, 1, 4, 4, 5, 6]);
+            let z = t.hadamard(y, v[1]);
+            let s = t.sum_all(z);
+            t.hadamard(s, s)
+        });
+        assert!(r.passes(TOL), "{r:?}");
+    }
+
+    #[test]
+    fn gradcheck_segment_sum_both_inputs_live() {
+        let mut rng = seeded_rng(24);
+        let h = random_matrix(&mut rng, 5, 3);
+        let w = random_matrix(&mut rng, 5, 1);
+        let proj = random_matrix(&mut rng, 3, 2);
+        let r = check_gradients(&[h, w, proj], 1e-2, |t, v| {
+            let s = t.segment_sum(v[0], v[1], &[0, 2, 2, 5]);
+            let y = t.matmul(s, v[2]);
+            t.squared_frobenius(y)
+        });
+        assert!(r.passes(TOL), "{r:?}");
+    }
+
+    #[test]
+    fn gradcheck_concat_rows_of_blocks() {
+        let mut rng = seeded_rng(25);
+        let a = random_matrix(&mut rng, 2, 3);
+        let b = random_matrix(&mut rng, 1, 3);
+        let c = random_matrix(&mut rng, 3, 3);
+        let w = random_matrix(&mut rng, 3, 1);
+        let r = check_gradients(&[a, b, c, w], 1e-2, |t, v| {
+            let stacked = t.concat_rows(&[v[0], v[1], v[2]]);
+            let y = t.matmul(stacked, v[3]);
+            t.squared_frobenius(y)
+        });
+        assert!(r.passes(TOL), "{r:?}");
+    }
+
+    #[test]
+    fn gradcheck_row_wise_cosine_with_zero_row() {
+        let mut rng = seeded_rng(26);
+        let mut a = random_matrix(&mut rng, 2, 4);
+        let mut b = random_matrix(&mut rng, 3, 4);
+        let weights = random_matrix(&mut rng, 3, 1);
+        a.as_mut_slice()[0] += 2.0;
+        a.as_mut_slice()[5] += 2.0;
+        b.as_mut_slice()[1] += 2.0;
+        b.as_mut_slice()[10] += 2.0;
+        // Row 1 of the left operand is a constant zero row: its cosine is 0
+        // and `b`'s row 1 receives no gradient through it.
+        let f = |t: &mut Tape, v: &[Var]| {
+            let zero = t.leaf(Matrix::zeros(1, 4));
+            let r0 = t.gather_rows(v[0], &[0]);
+            let r1 = t.gather_rows(v[0], &[1]);
+            let left = t.concat_rows(&[r0, zero, r1]);
+            let c = t.cosine(left, v[1]);
+            let z = t.hadamard(c, v[2]);
+            t.sum_all(z)
+        };
+        let r = check_gradients(&[a.clone(), b.clone(), weights.clone()], 1e-2, f);
+        assert!(r.passes(TOL), "{r:?}");
+        let mut t = Tape::new();
+        let vars = [t.leaf(a), t.leaf(b), t.leaf(weights)];
+        let loss = f(&mut t, &vars);
+        let grads = t.backward(loss);
+        let gb = grads.get(vars[1]).expect("b is live");
+        assert_eq!(gb.row(1), &[0.0; 4], "zero-norm row must pass no gradient");
+    }
 }

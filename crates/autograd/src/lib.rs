@@ -2,9 +2,10 @@
 //!
 //! The paper's production system trains on TensorFlow 1.12; this crate is the
 //! from-scratch Rust equivalent sized to the needs of the Zoomer model family:
-//! a [`Tape`] of matrix-valued nodes, ~20 differentiable operators (including
-//! the attention-specific ones: row-wise softmax, row scaling, cosine
-//! similarity, focal cross-entropy on logits), optimizers ([`Adam`], [`Sgd`],
+//! a [`Tape`] of matrix-valued nodes, 29 differentiable operators (including
+//! the attention-specific ones: row-wise softmax, row scaling, row-wise cosine
+//! similarity, focal cross-entropy on logits, and the row gather and segment
+//! softmax / sum that encode a whole ROI level at once), optimizers ([`Adam`], [`Sgd`],
 //! [`Adagrad`]) with decoupled weight decay, a named dense parameter registry
 //! ([`ParamStore`]), and [`EmbeddingTable`]s with lazy (sparse) Adam updates —
 //! mirroring XDL's sparse-parameter handling.

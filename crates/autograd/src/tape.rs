@@ -7,9 +7,26 @@
 //! training example (define-by-run), which matches the per-request subgraph
 //! structure of Zoomer: every request has its own ROI, so the compute graph
 //! genuinely differs between examples.
+//!
+//! Operators are matrix-shaped so that one node can stand for a whole level
+//! of the ROI: [`Tape::gather_rows`] broadcasts and reorders rows,
+//! [`Tape::segment_softmax`] and [`Tape::segment_sum`] run a softmax and a
+//! weighted sum inside each contiguous segment of rows (one segment per
+//! parent, or per parent and neighbor type), [`Tape::concat_rows`] stacks
+//! blocks, and [`Tape::cosine`] works row by row.
 
 use zoomer_tensor::numerics::{leaky_relu, leaky_relu_grad, sigmoid};
 use zoomer_tensor::{l2_norm, Matrix};
+
+/// Panics unless `offsets` runs monotonically from 0 to `n`.
+fn check_offsets(offsets: &[usize], n: usize) {
+    assert!(
+        offsets.first() == Some(&0)
+            && offsets.last() == Some(&n)
+            && offsets.windows(2).all(|s| s[0] <= s[1]),
+        "segment offsets must run monotonically from 0 to {n}"
+    );
+}
 
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -44,8 +61,25 @@ enum Op {
     Scale(Var, f32),
     /// `[a | b]` column-wise concatenation.
     ConcatCols(Var, Var),
-    /// Stack many rows (each input is `1×d`).
+    /// Stack `n_i×d` blocks into a `(Σ n_i)×d` matrix.
     ConcatRows(Vec<Var>),
+    /// `out[r] = src[idx[r]]`.
+    GatherRows {
+        src: Var,
+        idx: Vec<usize>,
+    },
+    /// Softmax of an `n×1` column within each segment
+    /// `offsets[s]..offsets[s + 1]`.
+    SegmentSoftmax {
+        col: Var,
+        offsets: Vec<usize>,
+    },
+    /// `out[s] = Σ_{r ∈ segment s} w[r] · h[r]` for `h: n×d`, `w: n×1`.
+    SegmentSum {
+        h: Var,
+        w: Var,
+        offsets: Vec<usize>,
+    },
     /// Mean over rows: `n×d → 1×d`.
     MeanRows(Var),
     /// Sum over rows: `n×d → 1×d`.
@@ -62,7 +96,7 @@ enum Op {
         h: Var,
         w: Var,
     },
-    /// Cosine similarity of two `1×d` vectors → `1×1`.
+    /// Row-wise cosine similarity of two `n×d` matrices → `n×1`.
     Cosine(Var, Var),
     /// Multiply every element of `m` by the scalar var `s` (`1×1`).
     ScaleByScalarVar {
@@ -211,17 +245,66 @@ impl Tape {
         self.push(v, Op::ConcatCols(a, b))
     }
 
-    /// Stack `1×d` vars into an `n×d` matrix.
-    pub fn concat_rows(&mut self, rows: &[Var]) -> Var {
-        assert!(!rows.is_empty(), "concat_rows: empty input");
-        let d = self.value(rows[0]).cols();
-        let mut out = Matrix::zeros(rows.len(), d);
-        for (i, &r) in rows.iter().enumerate() {
-            let v = self.value(r);
-            assert_eq!(v.shape(), (1, d), "concat_rows: all inputs must be 1x{d}");
-            out.set_row(i, v.row(0));
+    /// Stack `n_i×d` blocks (`1×d` rows included) into one `(Σ n_i)×d`
+    /// matrix.
+    pub fn concat_rows(&mut self, blocks: &[Var]) -> Var {
+        assert!(!blocks.is_empty(), "concat_rows: empty input");
+        let d = self.value(blocks[0]).cols();
+        let mut data = Vec::with_capacity(blocks.iter().map(|&b| self.value(b).len()).sum());
+        for &b in blocks {
+            let v = self.value(b);
+            assert_eq!(v.cols(), d, "concat_rows: all inputs must have {d} columns");
+            data.extend_from_slice(v.as_slice());
         }
-        self.push(out, Op::ConcatRows(rows.to_vec()))
+        let rows = blocks.iter().map(|&b| self.value(b).rows()).sum();
+        self.push(Matrix::from_vec(rows, d, data), Op::ConcatRows(blocks.to_vec()))
+    }
+
+    /// `out[r] = src[idx[r]]`: reorders, repeats or drops rows of `src`.
+    /// The backward pass scatter-adds each output row's gradient back to
+    /// its source row.
+    pub fn gather_rows(&mut self, src: Var, idx: &[usize]) -> Var {
+        let sv = self.value(src);
+        let d = sv.cols();
+        let mut data = Vec::with_capacity(idx.len() * d);
+        for &i in idx {
+            data.extend_from_slice(sv.row(i));
+        }
+        self.push(Matrix::from_vec(idx.len(), d, data), Op::GatherRows { src, idx: idx.to_vec() })
+    }
+
+    /// Softmax of an `n×1` column within each segment
+    /// `offsets[s]..offsets[s + 1]` (`offsets` runs from 0 to `n`).
+    pub fn segment_softmax(&mut self, col: Var, offsets: &[usize]) -> Var {
+        let mut v = self.value(col).clone();
+        assert_eq!(v.cols(), 1, "segment_softmax: input must be a column");
+        check_offsets(offsets, v.rows());
+        for s in offsets.windows(2) {
+            zoomer_tensor::softmax_inplace(&mut v.as_mut_slice()[s[0]..s[1]]);
+        }
+        self.push(v, Op::SegmentSoftmax { col, offsets: offsets.to_vec() })
+    }
+
+    /// Weighted sum of the rows of `h` (`n×d`) within each segment
+    /// `offsets[s]..offsets[s + 1]`: `out[s] = Σ w[r] · h[r]` with `w: n×1`.
+    /// An empty segment sums to a zero row.
+    pub fn segment_sum(&mut self, h: Var, w: Var, offsets: &[usize]) -> Var {
+        let hv = self.value(h);
+        let wv = self.value(w);
+        let (n, d) = hv.shape();
+        assert_eq!(wv.shape(), (n, 1), "segment_sum: weights must be {n}x1");
+        check_offsets(offsets, n);
+        let mut out = Matrix::zeros(offsets.len() - 1, d);
+        for (s, seg) in offsets.windows(2).enumerate() {
+            let dst = out.row_mut(s);
+            for r in seg[0]..seg[1] {
+                let wr = wv.as_slice()[r];
+                for (o, &x) in dst.iter_mut().zip(hv.row(r)) {
+                    *o += wr * x;
+                }
+            }
+        }
+        self.push(out, Op::SegmentSum { h, w, offsets: offsets.to_vec() })
     }
 
     pub fn mean_rows(&mut self, a: Var) -> Var {
@@ -291,18 +374,19 @@ impl Tape {
         self.push(out, Op::RowScale { h, w })
     }
 
-    /// Cosine similarity of two `1×d` vectors → `1×1` (paper eq. (10)).
+    /// Row-wise cosine similarity of two `n×d` matrices → `n×1` (paper
+    /// eq. (10)).
     ///
-    /// Defined as 0 with zero gradient if either vector is (numerically)
-    /// all-zero.
+    /// A row is defined as 0 with zero gradient if either of its vectors is
+    /// (numerically) all-zero.
     pub fn cosine(&mut self, a: Var, b: Var) -> Var {
         let av = self.value(a);
         let bv = self.value(b);
-        assert_eq!(av.rows(), 1, "cosine: a must be a row vector");
-        assert_eq!(bv.rows(), 1, "cosine: b must be a row vector");
-        assert_eq!(av.cols(), bv.cols(), "cosine: dim mismatch");
-        let c = zoomer_tensor::cosine_similarity(av.row(0), bv.row(0));
-        self.push(Matrix::from_vec(1, 1, vec![c]), Op::Cosine(a, b))
+        assert_eq!(av.shape(), bv.shape(), "cosine: shape mismatch");
+        let c = (0..av.rows())
+            .map(|r| zoomer_tensor::cosine_similarity(av.row(r), bv.row(r)))
+            .collect();
+        self.push(Matrix::from_vec(av.rows(), 1, c), Op::Cosine(a, b))
     }
 
     /// Multiply matrix `m` elementwise by a scalar-valued var `s` (`1×1`).
@@ -496,10 +580,60 @@ impl Tape {
                 Self::accum(grads, *a, ga);
                 Self::accum(grads, *b, gb);
             }
-            Op::ConcatRows(rows) => {
-                for (r, &v) in rows.iter().enumerate() {
-                    Self::accum(grads, v, Matrix::row_vector(g.row(r)));
+            Op::ConcatRows(blocks) => {
+                let d = g.cols();
+                let mut start = 0;
+                for &v in blocks {
+                    let n = self.value(v).rows();
+                    let slice = &g.as_slice()[start * d..(start + n) * d];
+                    Self::accum(grads, v, Matrix::from_vec(n, d, slice.to_vec()));
+                    start += n;
                 }
+            }
+            Op::GatherRows { src, idx } => {
+                let mut gs = Matrix::zeros(self.value(*src).rows(), g.cols());
+                for (r, &i) in idx.iter().enumerate() {
+                    for (o, &x) in gs.row_mut(i).iter_mut().zip(g.row(r)) {
+                        *o += x;
+                    }
+                }
+                Self::accum(grads, *src, gs);
+            }
+            Op::SegmentSoftmax { col, offsets } => {
+                // Per segment: dx = (g − Σ g·y) ⊙ y.
+                let y = self.nodes[i].value.as_slice();
+                let gv = g.as_slice();
+                let mut gx = vec![0.0f32; y.len()];
+                for s in offsets.windows(2) {
+                    let seg = s[0]..s[1];
+                    let gy: f32 =
+                        gv[seg.clone()].iter().zip(&y[seg.clone()]).map(|(&a, &b)| a * b).sum();
+                    for r in seg {
+                        gx[r] = (gv[r] - gy) * y[r];
+                    }
+                }
+                Self::accum(grads, *col, Matrix::from_vec(y.len(), 1, gx));
+            }
+            Op::SegmentSum { h, w, offsets } => {
+                let hv = self.value(*h);
+                let wv = self.value(*w);
+                let (n, d) = hv.shape();
+                let mut gh = Matrix::zeros(n, d);
+                let mut gw = Matrix::zeros(n, 1);
+                for (s, seg) in offsets.windows(2).enumerate() {
+                    let gs = g.row(s);
+                    for r in seg[0]..seg[1] {
+                        let wr = wv.as_slice()[r];
+                        let mut acc = 0.0f32;
+                        for ((o, &gg), &hh) in gh.row_mut(r).iter_mut().zip(gs).zip(hv.row(r)) {
+                            *o = wr * gg;
+                            acc += gg * hh;
+                        }
+                        gw.as_mut_slice()[r] = acc;
+                    }
+                }
+                Self::accum(grads, *h, gh);
+                Self::accum(grads, *w, gw);
             }
             Op::MeanRows(a) => {
                 let n = self.value(*a).rows().max(1);
@@ -589,26 +723,27 @@ impl Tape {
             Op::Cosine(a, b) => {
                 let av = self.value(*a);
                 let bv = self.value(*b);
-                let na = l2_norm(av.row(0));
-                let nb = l2_norm(bv.row(0));
-                let gs = g.get(0, 0);
-                if na <= f32::EPSILON || nb <= f32::EPSILON {
-                    // Defined as constant 0 there: zero gradient.
-                    Self::accum(grads, *a, Matrix::zeros(1, av.cols()));
-                    Self::accum(grads, *b, Matrix::zeros(1, bv.cols()));
-                } else {
-                    let c = self.nodes[i].value.get(0, 0);
-                    let mut ga = Matrix::zeros(1, av.cols());
-                    let mut gb = Matrix::zeros(1, bv.cols());
-                    for k in 0..av.cols() {
-                        let x = av.get(0, k);
-                        let y = bv.get(0, k);
-                        ga.set(0, k, gs * (y / (na * nb) - c * x / (na * na)));
-                        gb.set(0, k, gs * (x / (na * nb) - c * y / (nb * nb)));
+                let (n, d) = av.shape();
+                let mut ga = Matrix::zeros(n, d);
+                let mut gb = Matrix::zeros(n, d);
+                for r in 0..n {
+                    let na = l2_norm(av.row(r));
+                    let nb = l2_norm(bv.row(r));
+                    if na <= f32::EPSILON || nb <= f32::EPSILON {
+                        // Defined as constant 0 there: zero gradient.
+                        continue;
                     }
-                    Self::accum(grads, *a, ga);
-                    Self::accum(grads, *b, gb);
+                    let gs = g.get(r, 0);
+                    let c = self.nodes[i].value.get(r, 0);
+                    for k in 0..d {
+                        let x = av.get(r, k);
+                        let y = bv.get(r, k);
+                        ga.set(r, k, gs * (y / (na * nb) - c * x / (na * na)));
+                        gb.set(r, k, gs * (x / (na * nb) - c * y / (nb * nb)));
+                    }
                 }
+                Self::accum(grads, *a, ga);
+                Self::accum(grads, *b, gb);
             }
             Op::ScaleByScalarVar { m, s } => {
                 let sv = self.value(*s).get(0, 0);

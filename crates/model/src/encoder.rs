@@ -12,8 +12,13 @@
 //! plus the baseline aggregations (GAT eq. 3, HAN's two-level attention,
 //! importance-weighted mean, STAMP-style query-anchored attention, FGNN-style
 //! gating, MCCF-style multi-component decomposition).
+//!
+//! ROIs are encoded level by level: each distinct node is one row of a
+//! self-embedding block `Z` (`z_self` depends only on the node and the focal
+//! vector), and each layer is one pass over the parents of every tree —
+//! row gathers, segment softmaxes and sums, one `linear` + `tanh`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use rand::Rng;
 use zoomer_autograd::embedding::SparseAdamConfig;
@@ -44,19 +49,7 @@ impl TableSet {
     }
 
     pub fn get_or_create(&mut self, ty: NodeType, field_idx: usize) -> &mut EmbeddingTable {
-        let name = Self::table_name(ty, field_idx);
-        let dim = self.dim;
-        // Derive a distinct init stream per table.
-        let mut h: u64 = self.seed;
-        for b in name.bytes() {
-            h = h.wrapping_mul(0x100000001b3) ^ b as u64;
-        }
-        let adam = self.adam;
-        self.tables.entry(name.clone()).or_insert_with(|| EmbeddingTable::new(&name, dim, h, adam))
-    }
-
-    pub fn by_name(&self, name: &str) -> Option<&EmbeddingTable> {
-        self.tables.get(name)
+        self.get_or_create_named(&Self::table_name(ty, field_idx))
     }
 
     pub fn by_name_mut(&mut self, name: &str) -> Option<&mut EmbeddingTable> {
@@ -66,12 +59,9 @@ impl TableSet {
     /// Get or lazily create a table by its full name (used by the
     /// parameter-server simulation, which receives gradients keyed by name).
     pub fn get_or_create_named(&mut self, name: &str) -> &mut EmbeddingTable {
-        let dim = self.dim;
-        let mut h: u64 = self.seed;
-        for b in name.bytes() {
-            h = h.wrapping_mul(0x100000001b3) ^ b as u64;
-        }
-        let adam = self.adam;
+        let (dim, adam) = (self.dim, self.adam);
+        // Derive a distinct init stream per table.
+        let h = name.bytes().fold(self.seed, |h, b| h.wrapping_mul(0x100000001b3) ^ b as u64);
         self.tables
             .entry(name.to_string())
             .or_insert_with(|| EmbeddingTable::new(name, dim, h, adam))
@@ -131,364 +121,376 @@ pub struct Encoder<'a> {
     pub graph: &'a HeteroGraph,
 }
 
-impl<'a> Encoder<'a> {
-    /// Node feature latent matrix `H` (eq. 6 input): one row per categorical
-    /// field embedding plus one row projecting the dense content vector.
-    pub fn node_feature_matrix(&mut self, ctx: &mut ForwardCtx, node: NodeId) -> Var {
-        let ty = self.graph.node_type(node);
-        let fields = self.graph.fields(node).to_vec();
-        let mut rows: Vec<Var> = Vec::with_capacity(fields.len() + 1);
-        for (idx, &value) in fields.iter().enumerate() {
-            let table = self.tables.get_or_create(ty, idx);
-            rows.push(ctx.embed(table, value as u64));
+/// The parents of one layer and their edges, ordered by (parent, child
+/// type) as a `BTreeMap` over `NodeType` orders them, sampled order kept
+/// within a type. `by_*` are segment offsets.
+#[derive(Default)]
+struct Layer {
+    parent_node: Vec<NodeId>,
+    /// Per parent: its row of `Z`.
+    parent_z: Vec<usize>,
+    /// Per edge: the child's row of `[Z ; the layer below's output]`.
+    child: Vec<usize>,
+    child_node: Vec<NodeId>,
+    /// Per edge: its parent's index within the layer.
+    parent: Vec<usize>,
+    by_parent: Vec<usize>,
+    /// Edge offsets per (parent, child type) group.
+    by_group: Vec<usize>,
+    groups_by_parent: Vec<usize>,
+    group_parent: Vec<usize>,
+}
+
+/// ROI trees flattened level by level in one walk.
+struct FlatRois {
+    /// Distinct node ids, sorted: the rows of `Z`.
+    nodes: Vec<NodeId>,
+    /// `layers[ℓ − 1]` holds the occurrences whose remaining depth is `ℓ`.
+    layers: Vec<Layer>,
+    /// Per tree: its root's layer and row of `[Z ; that layer's output]`.
+    roots: Vec<(usize, usize)>,
+}
+
+impl FlatRois {
+    fn new(graph: &HeteroGraph, rois: &[&RoiNode]) -> Self {
+        let mut nodes: Vec<NodeId> = rois.iter().flat_map(|r| r.node_ids()).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let depth = rois.iter().map(|r| r.depth()).max().unwrap_or(0);
+        let empty = || Layer {
+            by_parent: vec![0],
+            by_group: vec![0],
+            groups_by_parent: vec![0],
+            ..Default::default()
+        };
+        let layers = (0..depth).map(|_| empty()).collect();
+        let mut flat = FlatRois { nodes, layers, roots: Vec::with_capacity(rois.len()) };
+        for roi in rois {
+            let row = flat.walk(graph, roi, roi.depth());
+            flat.roots.push((roi.depth(), row));
         }
-        // Dense content row: dense · W_feat.{type}.
-        let dense = ctx.constant(Matrix::row_vector(self.graph.dense_feature(node)));
-        let w = ctx.param(self.store, &format!("feat.{}.w", ty.name()));
-        rows.push(ctx.tape.matmul(dense, w));
-        ctx.tape.concat_rows(&rows)
+        flat
+    }
+
+    /// An occurrence with no children (or at remaining depth 0) outputs its
+    /// `z_self`; any other is a parent at layer `depth`, so every layer up
+    /// to the deepest root has a parent. Returns the occurrence's row of
+    /// `[Z ; layer depth's output]`.
+    fn walk(&mut self, graph: &HeteroGraph, node: &RoiNode, depth: usize) -> usize {
+        let z = self.nodes.binary_search(&node.id).expect("nodes holds every tree id");
+        if node.children.is_empty() || depth == 0 {
+            return z;
+        }
+        let mut kids: Vec<(NodeType, NodeId, usize)> = node
+            .children
+            .iter()
+            .map(|c| (graph.node_type(c.id), c.id, self.walk(graph, c, depth - 1)))
+            .collect();
+        kids.sort_by_key(|k| k.0);
+        let l = &mut self.layers[depth - 1];
+        let p = l.parent_z.len();
+        l.parent_node.push(node.id);
+        l.parent_z.push(z);
+        for (k, &(ty, id, row)) in kids.iter().enumerate() {
+            l.child.push(row);
+            l.child_node.push(id);
+            l.parent.push(p);
+            if kids.get(k + 1).is_none_or(|next| next.0 != ty) {
+                l.by_group.push(l.child.len());
+                l.group_parent.push(p);
+            }
+        }
+        l.by_parent.push(l.child.len());
+        l.groups_by_parent.push(l.group_parent.len());
+        self.nodes.len() + p
+    }
+}
+
+/// `n×1` column of `1/len` per segment: the weights of a per-segment mean.
+fn mean_weights(offsets: &[usize]) -> Matrix {
+    let mut w = Vec::with_capacity(offsets.last().copied().unwrap_or(0));
+    for s in offsets.windows(2) {
+        w.extend(std::iter::repeat_n(1.0 / (s[1] - s[0]) as f32, s[1] - s[0]));
+    }
+    Matrix::from_vec(w.len(), 1, w)
+}
+
+/// Mean of `rows` within each segment.
+fn mean_pool(ctx: &mut ForwardCtx, rows: Var, offsets: &[usize]) -> Var {
+    let w = ctx.constant(mean_weights(offsets));
+    ctx.tape.segment_sum(rows, w, offsets)
+}
+
+/// Softmax of `scores` within each segment, then the weighted sum of `rows`.
+fn attend(ctx: &mut ForwardCtx, rows: Var, scores: Var, offsets: &[usize]) -> Var {
+    let alpha = ctx.tape.segment_softmax(scores, offsets);
+    ctx.tape.segment_sum(rows, alpha, offsets)
+}
+
+impl Encoder<'_> {
+    /// Feature latent rows `H` (eq. 6 input) of `ids`: per node, one row
+    /// per categorical field embedding, then one row projecting the dense
+    /// content vector. Node `i` owns rows `offsets[i]..offsets[i + 1]`.
+    /// Each (type, field) table is resolved once, and each node type's
+    /// dense rows are one `matmul`.
+    fn feature_block(&mut self, ctx: &mut ForwardCtx, ids: &[NodeId]) -> (Var, Vec<usize>) {
+        let graph = self.graph;
+        let mut offsets = vec![0];
+        // Per node type: (first row of H, node).
+        let mut by_type: [Vec<(usize, NodeId)>; NodeType::ALL.len()] = Default::default();
+        for &n in ids {
+            let row = offsets[offsets.len() - 1];
+            by_type[graph.node_type(n).as_u8() as usize].push((row, n));
+            offsets.push(row + graph.fields(n).len() + 1);
+        }
+        // `order[r]`: the stacked row that becomes row `r` of H.
+        let mut order = vec![0; offsets[offsets.len() - 1]];
+        let (mut blocks, mut stacked) = (Vec::new(), 0);
+        for (ty, members) in NodeType::ALL.iter().zip(&by_type).filter(|(_, m)| !m.is_empty()) {
+            let fields = members.iter().map(|&(_, n)| graph.fields(n).len()).max().unwrap_or(0);
+            for f in 0..fields {
+                let table = self.tables.get_or_create(*ty, f);
+                for &(row, n) in members {
+                    if let Some(&value) = graph.fields(n).get(f) {
+                        order[row + f] = stacked;
+                        stacked += 1;
+                        blocks.push(ctx.embed(table, u64::from(value)));
+                    }
+                }
+            }
+            let mut content = Matrix::zeros(members.len(), self.config.dense_dim);
+            for (k, &(row, n)) in members.iter().enumerate() {
+                content.set_row(k, graph.dense_feature(n));
+                order[row + graph.fields(n).len()] = stacked + k;
+            }
+            let content = ctx.constant(content);
+            let w = ctx.param(self.store, &format!("feat.{}.w", ty.name()));
+            blocks.push(ctx.tape.matmul(content, w));
+            stacked += members.len();
+        }
+        let all = ctx.tape.concat_rows(&blocks);
+        (ctx.tape.gather_rows(all, &order), offsets)
+    }
+
+    /// Self embeddings of `ids`, one row each: feature projection (eq.
+    /// 6–7) when enabled and a focal vector `c` is given, the plain mean of
+    /// the node's feature rows otherwise.
+    pub fn self_embeddings(&mut self, ctx: &mut ForwardCtx, ids: &[NodeId], c: Option<Var>) -> Var {
+        let (h, offsets) = self.feature_block(ctx, ids);
+        let attention =
+            self.config.feature_attention && self.config.aggregation == Aggregation::Zoomer;
+        match c.filter(|_| attention) {
+            // scores = H·Cᵀ/√d; the per-node softmax already normalizes
+            // mass, so the weighted rows are summed, not averaged.
+            Some(c) => {
+                let ct = ctx.tape.transpose(c);
+                let scores = ctx.tape.matmul(h, ct);
+                let scores = ctx.tape.scale(scores, 1.0 / (self.config.embed_dim as f32).sqrt());
+                attend(ctx, h, scores, &offsets)
+            }
+            None => mean_pool(ctx, h, &offsets),
+        }
     }
 
     /// The focal vector `C` (§V-A): per focal point, mean its feature rows,
     /// space-map per type, then sum.
     pub fn focal_vector(&mut self, ctx: &mut ForwardCtx, focal_nodes: &[NodeId]) -> Var {
         assert!(!focal_nodes.is_empty(), "focal vector needs at least one node");
-        let mut mapped: Vec<Var> = Vec::with_capacity(focal_nodes.len());
-        for &f in focal_nodes {
-            let h = self.node_feature_matrix(ctx, f);
-            let mean = ctx.tape.mean_rows(h);
-            let ty = self.graph.node_type(f);
-            let w = ctx.param(self.store, &format!("map.{}.w", ty.name()));
-            mapped.push(ctx.tape.matmul(mean, w));
-        }
-        let mut acc = mapped[0];
-        for &m in &mapped[1..] {
-            acc = ctx.tape.add(acc, m);
-        }
-        acc
-    }
-
-    /// Self embedding of a node: feature projection (eq. 6–7) when enabled
-    /// and a focal vector is present, plain mean of feature rows otherwise.
-    pub fn self_embedding(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        node: NodeId,
-        focal: Option<Var>,
-    ) -> Var {
-        let h = self.node_feature_matrix(ctx, node);
-        let use_feature_attention = self.config.feature_attention
-            && self.config.aggregation == Aggregation::Zoomer
-            && focal.is_some();
-        if use_feature_attention {
-            let c = focal.expect("checked above");
-            // scores = H · Cᵀ / √d → (n×1) → transpose → softmax → 1×n.
-            let ct = ctx.tape.transpose(c);
-            let scores = ctx.tape.matmul(h, ct);
-            let scores = ctx.tape.scale(scores, 1.0 / (self.config.embed_dim as f32).sqrt());
-            let scores_row = ctx.tape.transpose(scores);
-            let w_c = ctx.tape.softmax_rows(scores_row);
-            let z = ctx.tape.row_scale(h, w_c);
-            // Sum (not mean): the softmax already normalizes total mass.
-            ctx.tape.sum_rows(z)
-        } else {
-            ctx.tape.mean_rows(h)
-        }
-    }
-
-    /// Aggregate already-encoded children into one vector, per the configured
-    /// flavor. `layer` indexes the parameters (1-based, root = `hops`).
-    /// Returns `None` when there are no children.
-    #[allow(clippy::too_many_arguments)]
-    pub fn aggregate(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        parent: NodeId,
-        parent_z: Var,
-        children: &[(NodeId, Var)],
-        focal: Option<Var>,
-        layer: usize,
-    ) -> Option<Var> {
-        if children.is_empty() {
-            return None;
-        }
-        match self.config.aggregation {
-            Aggregation::Mean => {
-                let rows: Vec<Var> = children.iter().map(|&(_, v)| v).collect();
-                Some(ctx.tape.mean_pool(&rows))
-            }
-            Aggregation::WeightedMean => Some(self.weighted_mean(ctx, parent, children)),
-            Aggregation::Gat => {
-                Some(self.pairwise_attention(ctx, parent_z, children, None, "att.gat", layer))
-            }
-            Aggregation::QueryAnchored => Some(self.query_anchored(ctx, children, focal)),
-            Aggregation::Gated => Some(self.gated(ctx, parent_z, children, layer)),
-            Aggregation::MultiComponent => {
-                Some(self.multi_component(ctx, parent_z, children, layer))
-            }
-            Aggregation::Han => Some(self.han(ctx, parent_z, children, layer)),
-            Aggregation::Zoomer => Some(self.zoomer(ctx, parent_z, children, focal, layer)),
-        }
-    }
-
-    /// PinSage-style importance pooling: weights from total edge weight
-    /// between parent and child in the graph (visit-count proxy).
-    fn weighted_mean(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        parent: NodeId,
-        children: &[(NodeId, Var)],
-    ) -> Var {
-        let mut weights: Vec<f32> = children
-            .iter()
-            .map(|&(child, _)| {
-                zoomer_sampler::all_neighbors(self.graph, parent)
-                    .into_iter()
-                    .filter(|&(n, _, _)| n == child)
-                    .map(|(_, _, w)| w)
-                    .sum::<f32>()
-                    .max(0.1) // walk-reached nodes may not be direct neighbors
-            })
-            .collect();
-        let total: f32 = weights.iter().sum();
-        for w in &mut weights {
-            *w /= total;
-        }
-        let stacked_rows: Vec<Var> = children.iter().map(|&(_, v)| v).collect();
-        let stacked = ctx.tape.concat_rows(&stacked_rows);
-        let w_row = ctx.constant(Matrix::row_vector(&weights));
-        ctx.tape.matmul(w_row, stacked)
-    }
-
-    /// GAT-style (eq. 3) or focal-augmented pairwise attention over all
-    /// children. When `focal` is `Some`, the focal vector is concatenated
-    /// into every score input (Zoomer's eq. 8 shape).
-    fn pairwise_attention(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        parent_z: Var,
-        children: &[(NodeId, Var)],
-        focal: Option<Var>,
-        att_param: &str,
-        layer: usize,
-    ) -> Var {
-        let a = ctx.param(self.store, &format!("{att_param}.l{layer}"));
-        let mut scores: Vec<Var> = Vec::with_capacity(children.len());
-        for &(_, zj) in children {
-            let pair = ctx.tape.concat_cols(parent_z, zj);
-            let input = match focal {
-                Some(c) => ctx.tape.concat_cols(pair, c),
-                None => pair,
-            };
-            let s = ctx.tape.matmul(input, a);
-            scores.push(ctx.tape.leaky_relu(s));
-        }
-        let score_col = ctx.tape.concat_rows(&scores);
-        let score_row = ctx.tape.transpose(score_col);
-        let alpha = ctx.tape.softmax_rows(score_row);
-        let stacked_rows: Vec<Var> = children.iter().map(|&(_, v)| v).collect();
-        let stacked = ctx.tape.concat_rows(&stacked_rows);
-        ctx.tape.matmul(alpha, stacked)
-    }
-
-    /// STAMP / GCE-GNN style: attention anchored purely on the focal (query)
-    /// vector; falls back to mean pooling when no focal is available.
-    fn query_anchored(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        children: &[(NodeId, Var)],
-        focal: Option<Var>,
-    ) -> Var {
-        let Some(c) = focal else {
-            let rows: Vec<Var> = children.iter().map(|&(_, v)| v).collect();
-            return ctx.tape.mean_pool(&rows);
-        };
-        let stacked_rows: Vec<Var> = children.iter().map(|&(_, v)| v).collect();
-        let stacked = ctx.tape.concat_rows(&stacked_rows);
-        let ct = ctx.tape.transpose(c);
-        let scores = ctx.tape.matmul(stacked, ct); // n×1
-        let scores = ctx.tape.scale(scores, 1.0 / (self.config.embed_dim as f32).sqrt());
-        let score_row = ctx.tape.transpose(scores);
-        let alpha = ctx.tape.softmax_rows(score_row);
-        ctx.tape.matmul(alpha, stacked)
-    }
-
-    /// FGNN-style gated aggregation: per-child sigmoid gate on [z_i ‖ z_j].
-    fn gated(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        parent_z: Var,
-        children: &[(NodeId, Var)],
-        layer: usize,
-    ) -> Var {
-        let w = ctx.param(self.store, &format!("gate.l{layer}"));
+        let means = self.self_embeddings(ctx, focal_nodes, None);
         let mut acc: Option<Var> = None;
-        for &(_, zj) in children {
-            let pair = ctx.tape.concat_cols(parent_z, zj);
-            let g = ctx.tape.matmul(pair, w);
-            let g = ctx.tape.sigmoid(g); // 1×1
-            let gated = ctx.tape.scale_by_scalar_var(zj, g);
-            acc = Some(match acc {
-                Some(a) => ctx.tape.add(a, gated),
-                None => gated,
-            });
+        for (i, &f) in focal_nodes.iter().enumerate() {
+            let mean = ctx.tape.gather_rows(means, &[i]);
+            let w = ctx.param(self.store, &format!("map.{}.w", self.graph.node_type(f).name()));
+            let mapped = ctx.tape.matmul(mean, w);
+            acc = Some(acc.map_or(mapped, |a| ctx.tape.add(a, mapped)));
         }
-        let sum = acc.expect("children nonempty");
-        ctx.tape.scale(sum, 1.0 / children.len() as f32)
+        acc.expect("at least one focal node")
     }
 
-    /// MCCF-style two-component decomposition: each component projects the
-    /// ego, scores children by dot product, and pools; components average.
-    fn multi_component(
+    /// Pairwise attention logits, one per row: `leaky_relu([p ‖ x]·a)`, with
+    /// the focal vector `c` appended to every row (eq. 8) when it is given.
+    pub fn pair_scores(
         &mut self,
         ctx: &mut ForwardCtx,
-        parent_z: Var,
-        children: &[(NodeId, Var)],
-        layer: usize,
+        p: Var,
+        x: Var,
+        c: Option<Var>,
+        a: &str,
     ) -> Var {
-        let stacked_rows: Vec<Var> = children.iter().map(|&(_, v)| v).collect();
-        let stacked = ctx.tape.concat_rows(&stacked_rows);
-        let mut components: Vec<Var> = Vec::with_capacity(2);
-        for comp in ["c1", "c2"] {
-            let w = ctx.param(self.store, &format!("mccf.{comp}.l{layer}"));
-            let anchor = ctx.tape.matmul(parent_z, w); // 1×d
-            let at = ctx.tape.transpose(anchor);
-            let scores = ctx.tape.matmul(stacked, at); // n×1
-            let score_row = ctx.tape.transpose(scores);
-            let alpha = ctx.tape.softmax_rows(score_row);
-            let pooled = ctx.tape.matmul(alpha, stacked);
-            components.push(ctx.tape.tanh(pooled));
+        let a = ctx.param(self.store, a);
+        let mut input = ctx.tape.concat_cols(p, x);
+        if let Some(c) = c {
+            let c = ctx.tape.gather_rows(c, &vec![0; ctx.tape.value(x).rows()]);
+            input = ctx.tape.concat_cols(input, c);
         }
-        ctx.tape.mean_pool(&components)
+        let s = ctx.tape.matmul(input, a);
+        ctx.tape.leaky_relu(s)
     }
 
-    /// HAN: GAT within each neighbor type (node-level attention), then a
-    /// learned semantic-level attention over the per-type summaries.
-    fn han(
+    /// Encode ROI trees bottom-up under the focal vector `c`, one pass per
+    /// layer over the parents of every tree. Returns each root's embedding
+    /// (1×d), in `rois` order.
+    pub fn encode_rois(
         &mut self,
         ctx: &mut ForwardCtx,
-        parent_z: Var,
-        children: &[(NodeId, Var)],
-        layer: usize,
-    ) -> Var {
-        let groups = self.group_by_type(children);
-        let mut type_embs: Vec<Var> = Vec::with_capacity(groups.len());
-        for group in groups.values() {
-            type_embs.push(self.pairwise_attention(ctx, parent_z, group, None, "att.gat", layer));
+        rois: &[&RoiNode],
+        c: Option<Var>,
+    ) -> Vec<Var> {
+        let flat = FlatRois::new(self.graph, rois);
+        let z = self.self_embeddings(ctx, &flat.nodes, c);
+        let mut outputs: Vec<Var> = Vec::with_capacity(flat.layers.len());
+        for (i, l) in flat.layers.iter().enumerate() {
+            let src = outputs.last().map_or(z, |&below| ctx.tape.concat_rows(&[z, below]));
+            let x = ctx.tape.gather_rows(src, &l.child);
+            let pz = ctx.tape.gather_rows(z, &l.parent_z);
+            let agg = self.aggregate(ctx, i + 1, l, pz, x, c);
+            // Combine: tanh(W·[z_self ‖ h_agg] + b).
+            let w = ctx.param(self.store, &format!("comb.l{}.w", i + 1));
+            let b = ctx.param(self.store, &format!("comb.l{}.b", i + 1));
+            let cat = ctx.tape.concat_cols(pz, agg);
+            let lin = ctx.tape.linear(cat, w, b);
+            outputs.push(ctx.tape.tanh(lin));
         }
-        if type_embs.len() == 1 {
-            return type_embs[0];
-        }
-        // Semantic attention: s_k = qᵀ tanh(W_sem · E_k).
-        let w_sem = ctx.param(self.store, "han.w_sem");
-        let q = ctx.param(self.store, "han.q");
-        let mut scores: Vec<Var> = Vec::with_capacity(type_embs.len());
-        for &e in &type_embs {
-            let proj = ctx.tape.matmul(e, w_sem);
-            let proj = ctx.tape.tanh(proj);
-            scores.push(ctx.tape.matmul(proj, q));
-        }
-        let score_col = ctx.tape.concat_rows(&scores);
-        let score_row = ctx.tape.transpose(score_col);
-        let beta = ctx.tape.softmax_rows(score_row);
-        let stacked = ctx.tape.concat_rows(&type_embs);
-        ctx.tape.matmul(beta, stacked)
+        let n = flat.nodes.len();
+        let root = |&(layer, row): &(usize, usize)| match row.checked_sub(n) {
+            Some(p) => (outputs[layer - 1], p),
+            None => (z, row),
+        };
+        flat.roots.iter().map(root).map(|(src, r)| ctx.tape.gather_rows(src, &[r])).collect()
     }
 
-    /// Zoomer's edge reweighing (eq. 8–9, within-type, focal-conditioned)
-    /// plus semantic combination (eq. 10–11), each degrading to mean pooling
-    /// when its config flag is off (the §VII-C ablations).
-    fn zoomer(
+    /// Aggregate the children of every parent of `layer` per the configured
+    /// flavor, one row per parent. `pz` holds the parents' self embeddings
+    /// and `x` the children's outputs, edge-ordered.
+    fn aggregate(
         &mut self,
         ctx: &mut ForwardCtx,
-        parent_z: Var,
-        children: &[(NodeId, Var)],
-        focal: Option<Var>,
         layer: usize,
+        l: &Layer,
+        pz: Var,
+        x: Var,
+        c: Option<Var>,
     ) -> Var {
-        let groups = self.group_by_type(children);
-        let mut type_embs: Vec<Var> = Vec::with_capacity(groups.len());
-        for group in groups.values() {
-            let e_t = if self.config.edge_attention {
-                self.pairwise_attention(ctx, parent_z, group, focal, "att.edge", layer)
-            } else {
-                let rows: Vec<Var> = group.iter().map(|&(_, v)| v).collect();
-                ctx.tape.mean_pool(&rows)
-            };
-            type_embs.push(e_t);
-        }
-        if type_embs.len() == 1 {
-            return type_embs[0];
-        }
-        if self.config.semantic_attention {
-            // eq. 10–11: t_k = cos(z_i, E_k); H = Σ E_k · t_k.
-            let mut acc: Option<Var> = None;
-            for &e in &type_embs {
-                let t_k = ctx.tape.cosine(parent_z, e);
-                let weighted = ctx.tape.scale_by_scalar_var(e, t_k);
-                acc = Some(match acc {
-                    Some(a) => ctx.tape.add(a, weighted),
-                    None => weighted,
-                });
+        let (d, by_parent) = (self.config.embed_dim, &l.by_parent);
+        let han = match self.config.aggregation {
+            Aggregation::Mean => return mean_pool(ctx, x, by_parent),
+            Aggregation::WeightedMean => {
+                let w = ctx.constant(self.edge_weights(l));
+                return ctx.tape.segment_sum(x, w, by_parent);
             }
-            acc.expect("type_embs nonempty")
+            Aggregation::Gat => {
+                let pe = ctx.tape.gather_rows(pz, &l.parent);
+                let s = self.pair_scores(ctx, pe, x, None, &format!("att.gat.l{layer}"));
+                return attend(ctx, x, s, by_parent);
+            }
+            // STAMP / GCE-GNN: attention anchored purely on the focal
+            // (query) vector; mean pooling without one.
+            Aggregation::QueryAnchored => {
+                let Some(c) = c else { return mean_pool(ctx, x, by_parent) };
+                let ct = ctx.tape.transpose(c);
+                let s = ctx.tape.matmul(x, ct);
+                let s = ctx.tape.scale(s, 1.0 / (d as f32).sqrt());
+                return attend(ctx, x, s, by_parent);
+            }
+            // FGNN: the children's mean, each scaled by sigmoid([z_i ‖ z_j]·w).
+            Aggregation::Gated => {
+                let pe = ctx.tape.gather_rows(pz, &l.parent);
+                let w = ctx.param(self.store, &format!("gate.l{layer}"));
+                let cat = ctx.tape.concat_cols(pe, x);
+                let g = ctx.tape.matmul(cat, w);
+                let g = ctx.tape.sigmoid(g);
+                let inv_len = ctx.constant(mean_weights(by_parent));
+                let g = ctx.tape.hadamard(g, inv_len);
+                return ctx.tape.segment_sum(x, g, by_parent);
+            }
+            // MCCF: each component projects the ego, scores children by dot
+            // product and pools; the components average.
+            Aggregation::MultiComponent => {
+                let ones = ctx.constant(Matrix::full(d, 1, 1.0));
+                let mut acc: Option<Var> = None;
+                for comp in ["c1", "c2"] {
+                    let w = ctx.param(self.store, &format!("mccf.{comp}.l{layer}"));
+                    let anchor = ctx.tape.matmul(pz, w);
+                    let anchor = ctx.tape.gather_rows(anchor, &l.parent);
+                    let prod = ctx.tape.hadamard(x, anchor);
+                    let s = ctx.tape.matmul(prod, ones);
+                    let pooled = attend(ctx, x, s, by_parent);
+                    let t = ctx.tape.tanh(pooled);
+                    acc = Some(acc.map_or(t, |a| ctx.tape.add(a, t)));
+                }
+                return ctx.tape.scale(acc.expect("two components"), 0.5);
+            }
+            Aggregation::Han => true,
+            Aggregation::Zoomer => false,
+        };
+        // HAN and Zoomer: one summary E_k per (parent, child type), by GAT
+        // (HAN) or edge reweighing (Zoomer, eq. 8–9) within the type, then a
+        // combination over the parent's types: HAN's learned semantic
+        // attention s_k = qᵀ tanh(W_sem · E_k), or Zoomer's semantic
+        // combination H = Σ E_k · cos(z_i, E_k) (eq. 10–11). Zoomer's levels
+        // fall back to mean pooling when their flags are off (§VII-C). A
+        // parent with one child type passes its summary through unweighted.
+        let types = if han || self.config.edge_attention {
+            let pe = ctx.tape.gather_rows(pz, &l.parent);
+            let (att, c) = if han { ("att.gat", None) } else { ("att.edge", c) };
+            let s = self.pair_scores(ctx, pe, x, c, &format!("{att}.l{layer}"));
+            attend(ctx, x, s, &l.by_group)
         } else {
-            ctx.tape.mean_pool(&type_embs)
-        }
-    }
-
-    fn group_by_type(&self, children: &[(NodeId, Var)]) -> BTreeMap<NodeType, Vec<(NodeId, Var)>> {
-        let mut groups: BTreeMap<NodeType, Vec<(NodeId, Var)>> = BTreeMap::new();
-        for &(id, v) in children {
-            groups.entry(self.graph.node_type(id)).or_default().push((id, v));
-        }
-        groups
-    }
-
-    /// Combine self embedding with the neighbor aggregate:
-    /// `tanh(W·[z_self ‖ h_agg] + b)`; identity pass-through for leaves.
-    pub fn combine(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        z_self: Var,
-        h_agg: Option<Var>,
-        layer: usize,
-    ) -> Var {
-        let Some(agg) = h_agg else { return z_self };
-        let w = ctx.param(self.store, &format!("comb.l{layer}.w"));
-        let b = ctx.param(self.store, &format!("comb.l{layer}.b"));
-        let cat = ctx.tape.concat_cols(z_self, agg);
-        let lin = ctx.tape.linear(cat, w, b);
-        ctx.tape.tanh(lin)
-    }
-
-    /// Encode a full ROI computation tree bottom-up. Returns the root's
-    /// embedding (1×d).
-    pub fn encode_roi(&mut self, ctx: &mut ForwardCtx, roi: &RoiNode, focal: Option<Var>) -> Var {
-        let depth = roi.depth();
-        self.encode_roi_at(ctx, roi, focal, depth)
-    }
-
-    fn encode_roi_at(
-        &mut self,
-        ctx: &mut ForwardCtx,
-        roi: &RoiNode,
-        focal: Option<Var>,
-        depth: usize,
-    ) -> Var {
-        let z_self = self.self_embedding(ctx, roi.id, focal);
-        if roi.children.is_empty() || depth == 0 {
-            return z_self;
-        }
-        let children: Vec<(NodeId, Var)> = roi
-            .children
+            mean_pool(ctx, x, &l.by_group)
+        };
+        let groups = &l.groups_by_parent;
+        let multi: Vec<f32> = l
+            .group_parent
             .iter()
-            .map(|c| (c.id, self.encode_roi_at(ctx, c, focal, depth - 1)))
+            .map(|&p| if groups[p + 1] - groups[p] > 1 { 1.0 } else { 0.0 })
             .collect();
-        let agg = self.aggregate(ctx, roi.id, z_self, &children, focal, depth);
-        self.combine(ctx, z_self, agg, depth)
+        if multi.iter().all(|&m| m < 0.5) {
+            return types;
+        }
+        if han {
+            let w_sem = ctx.param(self.store, "han.w_sem");
+            let q = ctx.param(self.store, "han.q");
+            let proj = ctx.tape.matmul(types, w_sem);
+            let proj = ctx.tape.tanh(proj);
+            let s = ctx.tape.matmul(proj, q);
+            return attend(ctx, types, s, groups);
+        }
+        if !self.config.semantic_attention {
+            return mean_pool(ctx, types, groups);
+        }
+        // Weights t·multi + (1 − multi): a single type's weight is exactly 1.
+        let rest = Matrix::from_vec(multi.len(), 1, multi.iter().map(|m| 1.0 - m).collect());
+        let multi = ctx.constant(Matrix::from_vec(multi.len(), 1, multi));
+        let rest = ctx.constant(rest);
+        let pg = ctx.tape.gather_rows(pz, &l.group_parent);
+        let t = ctx.tape.cosine(pg, types);
+        let t = ctx.tape.hadamard(t, multi);
+        let t = ctx.tape.add(t, rest);
+        ctx.tape.segment_sum(types, t, groups)
+    }
+
+    /// PinSage-style importance pooling weights, edge-ordered: total edge
+    /// weight between parent and child in the graph (a visit-count proxy),
+    /// normalized per parent.
+    fn edge_weights(&self, l: &Layer) -> Matrix {
+        let mut w = Vec::with_capacity(l.child.len());
+        for (&parent, seg) in l.parent_node.iter().zip(l.by_parent.windows(2)) {
+            let neighbors = zoomer_sampler::all_neighbors(self.graph, parent);
+            let start = w.len();
+            for &child in &l.child_node[seg[0]..seg[1]] {
+                let weight: f32 = neighbors.iter().filter(|n| n.0 == child).map(|n| n.2).sum();
+                // Walk-reached nodes may not be direct neighbors.
+                w.push(weight.max(0.1));
+            }
+            let total: f32 = w[start..].iter().sum();
+            w[start..].iter_mut().for_each(|x| *x /= total);
+        }
+        Matrix::from_vec(w.len(), 1, w)
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -527,15 +529,20 @@ mod tests {
     }
 
     #[test]
-    fn feature_matrix_has_field_plus_dense_rows() {
+    fn feature_block_has_field_plus_dense_rows_per_node() {
         let g = graph();
         let (config, store, mut tables) = setup(Aggregation::Zoomer);
         let mut enc = Encoder { config: &config, store: &store, tables: &mut tables, graph: &g };
         let mut ctx = ForwardCtx::new();
-        let h = enc.node_feature_matrix(&mut ctx, 2); // item: 5 fields + dense
-        assert_eq!(ctx.tape.value(h).shape(), (6, config.embed_dim));
-        let h_user = enc.node_feature_matrix(&mut ctx, 0); // user: 3 fields
-        assert_eq!(ctx.tape.value(h_user).shape(), (4, config.embed_dim));
+        // Item: 5 fields + dense; user: 3 fields + dense.
+        let (h, offsets) = enc.feature_block(&mut ctx, &[2, 0]);
+        assert_eq!(offsets, vec![0, 6, 10]);
+        assert_eq!(ctx.tape.value(h).shape(), (10, config.embed_dim));
+        // Row order within a node: fields in order, then the dense row.
+        let first = tables.get_or_create(NodeType::Item, 0).lookup(4).to_vec();
+        assert_eq!(ctx.tape.value(h).row(0), first.as_slice());
+        let user_f2 = tables.get_or_create(NodeType::User, 2).lookup(2).to_vec();
+        assert_eq!(ctx.tape.value(h).row(8), user_f2.as_slice());
     }
 
     #[test]
@@ -575,7 +582,8 @@ mod tests {
                 Encoder { config: &config, store: &store, tables: &mut tables, graph: &g };
             let mut ctx = ForwardCtx::new();
             let focal = enc.focal_vector(&mut ctx, &[0, 1]);
-            let emb = enc.encode_roi(&mut ctx, &roi_two_hop(), Some(focal));
+            let roi = roi_two_hop();
+            let emb = enc.encode_rois(&mut ctx, &[&roi], Some(focal))[0];
             let val = ctx.tape.value(emb);
             assert_eq!(val.shape(), (1, config.embed_dim), "{agg:?}");
             assert!(!val.has_non_finite(), "{agg:?} produced non-finite values");
@@ -594,8 +602,30 @@ mod tests {
         let mut enc = Encoder { config: &config, store: &store, tables: &mut tables, graph: &g };
         let mut ctx = ForwardCtx::new();
         let leaf = RoiNode { id: 2, children: vec![] };
-        let emb = enc.encode_roi(&mut ctx, &leaf, None);
-        assert_eq!(ctx.tape.value(emb).shape(), (1, config.embed_dim));
+        let emb = enc.encode_rois(&mut ctx, &[&leaf], None)[0];
+        let z = enc.self_embeddings(&mut ctx, &[2], None);
+        assert_eq!(ctx.tape.value(emb), ctx.tape.value(z));
+    }
+
+    #[test]
+    fn flattening_dedups_nodes_and_layers_by_remaining_depth() {
+        // Root 1 (depth 2) → {2 → {3}, 0}; a second tree 2 → {1, 3}.
+        let leaf = |id| RoiNode { id, children: vec![] };
+        let second = RoiNode { id: 2, children: vec![leaf(1), leaf(3)] };
+        let g = graph();
+        let flat = FlatRois::new(&g, &[&roi_two_hop(), &second]);
+        assert_eq!(flat.nodes, vec![0, 1, 2, 3]);
+        // Layer 1: node 2 under the first root, then the second root.
+        assert_eq!(flat.layers[0].parent_node, vec![2, 2]);
+        assert_eq!(flat.layers[1].parent_node, vec![1]);
+        // Roots read rows n + p of their layer's `[Z ; output]`.
+        assert_eq!(flat.roots, vec![(2, 4), (1, 5)]);
+        // Layer 2's edges by child type: user 0 (row 0 of Z) before item 2
+        // (layer 1's parent 0, row 4).
+        let top = &flat.layers[1];
+        assert_eq!(top.child, vec![0, 4]);
+        assert_eq!(top.by_group, vec![0, 1, 2]);
+        assert_eq!(top.groups_by_parent, vec![0, 2]);
     }
 
     #[test]
@@ -609,8 +639,8 @@ mod tests {
         let mut ctx = ForwardCtx::new();
         let focal_a = enc.focal_vector(&mut ctx, &[0]); // user focal
         let focal_b = enc.focal_vector(&mut ctx, &[1]); // query focal
-        let za = enc.self_embedding(&mut ctx, 2, Some(focal_a));
-        let zb = enc.self_embedding(&mut ctx, 2, Some(focal_b));
+        let za = enc.self_embeddings(&mut ctx, &[2], Some(focal_a));
+        let zb = enc.self_embeddings(&mut ctx, &[2], Some(focal_b));
         let diff = ctx.tape.value(za).max_abs_diff(ctx.tape.value(zb));
         assert!(diff > 1e-6, "embeddings identical across focals");
     }
@@ -624,8 +654,8 @@ mod tests {
         let mut ctx = ForwardCtx::new();
         let focal_a = enc.focal_vector(&mut ctx, &[0]);
         let focal_b = enc.focal_vector(&mut ctx, &[1]);
-        let za = enc.self_embedding(&mut ctx, 2, Some(focal_a));
-        let zb = enc.self_embedding(&mut ctx, 2, Some(focal_b));
+        let za = enc.self_embeddings(&mut ctx, &[2], Some(focal_a));
+        let zb = enc.self_embeddings(&mut ctx, &[2], Some(focal_b));
         assert!(ctx.tape.value(za).max_abs_diff(ctx.tape.value(zb)) < 1e-7);
     }
 
@@ -641,22 +671,30 @@ mod tests {
     }
 
     #[test]
-    fn edge_attention_groups_within_type() {
-        // A parent with 2 item children and 1 user child: zoomer aggregation
-        // with semantic off should mean-pool two per-type summaries.
+    fn semantic_off_mean_pools_the_per_type_summaries() {
+        // A query parent with two item children and one user child: with
+        // edge and semantic attention off, its aggregate is the mean of the
+        // item mean and the user row.
         let g = graph();
         let (mut config, store, mut tables) = setup(Aggregation::Zoomer);
+        config.edge_attention = false;
         config.semantic_attention = false;
         let mut enc = Encoder { config: &config, store: &store, tables: &mut tables, graph: &g };
         let mut ctx = ForwardCtx::new();
         let focal = enc.focal_vector(&mut ctx, &[0, 1]);
-        let pz = enc.self_embedding(&mut ctx, 1, Some(focal));
-        let c0 = enc.self_embedding(&mut ctx, 2, Some(focal));
-        let c1 = enc.self_embedding(&mut ctx, 3, Some(focal));
-        let c2 = enc.self_embedding(&mut ctx, 0, Some(focal));
-        let agg = enc
-            .aggregate(&mut ctx, 1, pz, &[(2, c0), (3, c1), (0, c2)], Some(focal), 1)
-            .expect("children present");
-        assert_eq!(ctx.tape.value(agg).shape(), (1, config.embed_dim));
+        let leaf = |id| RoiNode { id, children: vec![] };
+        let roi = RoiNode { id: 1, children: vec![leaf(2), leaf(3), leaf(0)] };
+        let flat = FlatRois::new(&g, &[&roi]);
+        let layer = &flat.layers[0];
+        let z = enc.self_embeddings(&mut ctx, &flat.nodes, Some(focal));
+        let pz = ctx.tape.gather_rows(z, &layer.parent_z);
+        let x = ctx.tape.gather_rows(z, &layer.child);
+        let agg = enc.aggregate(&mut ctx, 1, layer, pz, x, Some(focal));
+        let zv = ctx.tape.value(z);
+        let (user, item2, item3) = (zv.row(0), zv.row(2), zv.row(3));
+        for (k, &got) in ctx.tape.value(agg).row(0).iter().enumerate() {
+            let want = 0.5 * (user[k] + 0.5 * (item2[k] + item3[k]));
+            assert!((got - want).abs() < 1e-6, "column {k}: {got} vs {want}");
+        }
     }
 }

@@ -12,8 +12,8 @@ pub struct ForwardCtx {
     pub tape: Tape,
     /// Dense parameter name → the single leaf var holding it on this tape.
     dense_uses: HashMap<String, Var>,
-    /// (table name, row id) → leaf var.
-    embed_uses: HashMap<(String, u64), Var>,
+    /// Table name → row id → leaf var.
+    embed_uses: HashMap<String, HashMap<u64, Var>>,
 }
 
 impl Default for ForwardCtx {
@@ -39,14 +39,13 @@ impl ForwardCtx {
     }
 
     /// Leaf an embedding row onto the tape (deduplicated per (table, id)).
+    /// The table name is copied once per table, not once per lookup.
     pub fn embed(&mut self, table: &mut EmbeddingTable, id: u64) -> Var {
-        let key = (table.name().to_string(), id);
-        if let Some(&v) = self.embed_uses.get(&key) {
-            return v;
+        if !self.embed_uses.contains_key(table.name()) {
+            self.embed_uses.insert(table.name().to_string(), HashMap::new());
         }
-        let v = self.tape.leaf(table.lookup_matrix(id));
-        self.embed_uses.insert(key, v);
-        v
+        let rows = self.embed_uses.get_mut(table.name()).expect("inserted above");
+        *rows.entry(id).or_insert_with(|| self.tape.leaf(table.lookup_matrix(id)))
     }
 
     /// Leaf a constant (no gradient routing).
@@ -65,9 +64,13 @@ impl ForwardCtx {
     /// Sparse gradients grouped by table name → (row id → gradient row).
     pub fn sparse_gradients(&self, grads: &Gradients) -> HashMap<String, HashMap<u64, Vec<f32>>> {
         let mut out: HashMap<String, HashMap<u64, Vec<f32>>> = HashMap::new();
-        for ((table, id), &v) in &self.embed_uses {
-            if let Some(g) = grads.get(v) {
-                out.entry(table.clone()).or_default().insert(*id, g.as_slice().to_vec());
+        for (table, rows) in &self.embed_uses {
+            let touched: HashMap<u64, Vec<f32>> = rows
+                .iter()
+                .filter_map(|(&id, &v)| grads.get(v).map(|g| (id, g.as_slice().to_vec())))
+                .collect();
+            if !touched.is_empty() {
+                out.insert(table.clone(), touched);
             }
         }
         out
@@ -80,7 +83,7 @@ impl ForwardCtx {
 
     /// Number of distinct embedding rows touched.
     pub fn num_embed_uses(&self) -> usize {
-        self.embed_uses.len()
+        self.embed_uses.values().map(HashMap::len).sum()
     }
 }
 

@@ -155,33 +155,43 @@ impl UnifiedCtrModel {
         ex: &RetrievalExample,
         rng: &mut ChaCha8Rng,
     ) -> (ForwardCtx, Var) {
-        let (user_roi, query_roi) = self.sample_rois(graph, ex, rng);
-        let focal_nodes = self.attention_focals(ex);
         let mut ctx = ForwardCtx::new();
-        let mut enc =
-            Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
-        let focal = if focal_nodes.is_empty() {
-            None
-        } else {
-            Some(enc.focal_vector(&mut ctx, &focal_nodes))
-        };
-        let zu = enc.encode_roi(&mut ctx, &user_roi, focal);
-        let zq = enc.encode_roi(&mut ctx, &query_roi, focal);
-        // User-query tower.
-        let w_uq = ctx.param(&self.store, "tower.uq.w");
-        let b_uq = ctx.param(&self.store, "tower.uq.b");
-        let cat = ctx.tape.concat_cols(zu, zq);
-        let uq = ctx.tape.linear(cat, w_uq, b_uq);
-        // Item tower: base item model, no focal, no graph expansion.
-        let mut enc =
-            Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
-        let zi = enc.self_embedding(&mut ctx, ex.item, None);
-        let w_it = ctx.param(&self.store, "tower.item.w");
-        let b_it = ctx.param(&self.store, "tower.item.b");
-        let item = ctx.tape.linear(zi, w_it, b_it);
+        let uq = self.uq_tower(&mut ctx, graph, ex, rng);
+        let item = self.item_tower(&mut ctx, graph, ex.item);
         // Score = dot(uq, item).
         let logit = ctx.tape.dot(uq, item);
         (ctx, logit)
+    }
+
+    /// User-query tower: both ROIs encoded level by level under the
+    /// request's focal vector, then one dense layer over `[z_u ‖ z_q]`.
+    fn uq_tower(
+        &mut self,
+        ctx: &mut ForwardCtx,
+        graph: &HeteroGraph,
+        ex: &RetrievalExample,
+        rng: &mut ChaCha8Rng,
+    ) -> Var {
+        let (user_roi, query_roi) = self.sample_rois(graph, ex, rng);
+        let focal_nodes = self.attention_focals(ex);
+        let mut enc =
+            Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
+        let focal = (!focal_nodes.is_empty()).then(|| enc.focal_vector(ctx, &focal_nodes));
+        let roots = enc.encode_rois(ctx, &[&user_roi, &query_roi], focal);
+        let w_uq = ctx.param(&self.store, "tower.uq.w");
+        let b_uq = ctx.param(&self.store, "tower.uq.b");
+        let cat = ctx.tape.concat_cols(roots[0], roots[1]);
+        ctx.tape.linear(cat, w_uq, b_uq)
+    }
+
+    /// Item tower: base item model, no focal, no graph expansion.
+    fn item_tower(&mut self, ctx: &mut ForwardCtx, graph: &HeteroGraph, item: NodeId) -> Var {
+        let mut enc =
+            Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
+        let zi = enc.self_embeddings(ctx, &[item], None);
+        let w_it = ctx.param(&self.store, "tower.item.w");
+        let b_it = ctx.param(&self.store, "tower.item.b");
+        ctx.tape.linear(zi, w_it, b_it)
     }
 
     /// One optimizer step on an accumulated minibatch (the paper trains with
@@ -288,20 +298,13 @@ impl UnifiedCtrModel {
         let mut ctx = ForwardCtx::new();
         let mut enc =
             Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
-        let focal_var = enc.focal_vector(&mut ctx, focal_nodes);
-        let focal = Some(focal_var);
-        let z_i = enc.self_embedding(&mut ctx, ego, focal);
-        let a = ctx.param(&self.store, "att.edge.l1");
-        let mut scores = Vec::with_capacity(neighbors.len());
-        for &n in neighbors {
-            let z_j = enc.self_embedding(&mut ctx, n, focal);
-            let pair = ctx.tape.concat_cols(z_i, z_j);
-            let input = ctx.tape.concat_cols(pair, focal_var);
-            let s = ctx.tape.matmul(input, a);
-            let s = ctx.tape.leaky_relu(s);
-            scores.push(ctx.tape.scalar(s));
-        }
-        zoomer_tensor::stable_softmax(&scores)
+        let focal = enc.focal_vector(&mut ctx, focal_nodes);
+        let nodes: Vec<NodeId> = std::iter::once(ego).chain(neighbors.iter().copied()).collect();
+        let z = enc.self_embeddings(&mut ctx, &nodes, Some(focal));
+        let z_i = ctx.tape.gather_rows(z, &vec![0; neighbors.len()]);
+        let z_j = ctx.tape.gather_rows(z, &(1..nodes.len()).collect::<Vec<_>>());
+        let s = enc.pair_scores(&mut ctx, z_i, z_j, Some(focal), "att.edge.l1");
+        zoomer_tensor::stable_softmax(ctx.tape.value(s).as_slice())
     }
 }
 
@@ -349,33 +352,14 @@ impl CtrModel for UnifiedCtrModel {
         rng: &mut ChaCha8Rng,
     ) -> Vec<f32> {
         let ex = RetrievalExample { user, query, item: user, label: 0.0 };
-        let (user_roi, query_roi) = self.sample_rois(graph, &ex, rng);
-        let focal_nodes = self.attention_focals(&ex);
         let mut ctx = ForwardCtx::new();
-        let mut enc =
-            Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
-        let focal = if focal_nodes.is_empty() {
-            None
-        } else {
-            Some(enc.focal_vector(&mut ctx, &focal_nodes))
-        };
-        let zu = enc.encode_roi(&mut ctx, &user_roi, focal);
-        let zq = enc.encode_roi(&mut ctx, &query_roi, focal);
-        let w_uq = ctx.param(&self.store, "tower.uq.w");
-        let b_uq = ctx.param(&self.store, "tower.uq.b");
-        let cat = ctx.tape.concat_cols(zu, zq);
-        let uq = ctx.tape.linear(cat, w_uq, b_uq);
+        let uq = self.uq_tower(&mut ctx, graph, &ex, rng);
         ctx.tape.value(uq).as_slice().to_vec()
     }
 
     fn item_embedding(&mut self, graph: &HeteroGraph, item: NodeId) -> Vec<f32> {
         let mut ctx = ForwardCtx::new();
-        let mut enc =
-            Encoder { config: &self.config, store: &self.store, tables: &mut self.tables, graph };
-        let zi = enc.self_embedding(&mut ctx, item, None);
-        let w_it = ctx.param(&self.store, "tower.item.w");
-        let b_it = ctx.param(&self.store, "tower.item.b");
-        let v = ctx.tape.linear(zi, w_it, b_it);
+        let v = self.item_tower(&mut ctx, graph, item);
         ctx.tape.value(v).as_slice().to_vec()
     }
 
@@ -571,6 +555,21 @@ mod tests {
         let w2 = m.coupling_coefficients(&data.graph, ex.query, neighbors, &[other_user, ex.query]);
         let diff: f32 = w1.iter().zip(&w2).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-6, "coefficients did not react to focal change");
+    }
+
+    #[test]
+    fn zoomer_example_tape_is_under_a_tenth_of_the_tree_encoders() {
+        // The per-occurrence tree encoder this replaced recorded 3 772 tape
+        // nodes for this example (and 3 864 for a Million-tier example at
+        // hops 2, fanout 10).
+        const TREE_ENCODER_NODES: usize = 3_772;
+        let data = TaobaoData::generate(TaobaoConfig::tiny(77));
+        let dense_dim = data.graph.features().dense_dim();
+        let mut m = UnifiedCtrModel::new(ModelConfig::zoomer(77, dense_dim));
+        let ex = data.ctr_examples()[3];
+        let (ctx, _) = m.forward(&data.graph, &ex, &mut seeded_rng(7));
+        let nodes = ctx.tape.len();
+        assert!(nodes * 10 <= TREE_ENCODER_NODES, "{nodes} tape nodes");
     }
 
     #[test]

@@ -90,3 +90,33 @@ fn gradcheck_mccf_model() {
 fn gradcheck_fgnn_model() {
     check_preset("fgnn", 0.08);
 }
+
+#[test]
+fn gradcheck_gcn_model() {
+    check_preset("gcn", 0.08);
+}
+
+#[test]
+fn gradcheck_zoomer_fe_model() {
+    check_preset("zoomer-fe", 0.08);
+}
+
+#[test]
+fn gradcheck_zoomer_fs_model() {
+    check_preset("zoomer-fs", 0.08);
+}
+
+#[test]
+fn gradcheck_zoomer_es_model() {
+    check_preset("zoomer-es", 0.08);
+}
+
+#[test]
+fn gradcheck_pinsage_model() {
+    check_preset("pinsage", 0.08);
+}
+
+#[test]
+fn gradcheck_stamp_model() {
+    check_preset("stamp", 0.08);
+}
