@@ -10,12 +10,18 @@ cargo build --release --offline -q
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== zoomer-lint (panic-freedom + cross-file concurrency gate, hard failure) =="
+echo "== zoomer-lint (panic-freedom + cross-file concurrency gate; errors and warnings both fail) =="
 # Both phases run here: per-file rules (L001-L005) and the cross-file
 # concurrency/contract pass (L006-L009, metrics manifest, baseline). The
 # machine-readable report is kept as a CI artifact; human lines go to
 # stderr so the log still shows any findings.
 cargo run --release --offline -q -p zoomer-lint -- --json . > lint-report.json
+# Warnings fail CI as well: a stale manifest or baseline entry means a
+# metric or suppression outlived the code it described.
+if ! grep -Eq '"warnings": *0([^0-9]|$)' lint-report.json; then
+    echo "zoomer-lint reported warnings (see lint-report.json)" >&2
+    exit 1
+fi
 
 echo "== cargo clippy (workspace, all targets, deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -2,8 +2,7 @@
 //!
 //! Not a paper figure: the paper serves IVF only. With retrieval behind the
 //! `SearchBackend` trait this harness measures what each backend actually
-//! trades: the IVF probe sweeps `nprobe`, the relevance proximity graph
-//! sweeps its beam width (one graph build, re-aimed per row), and the exact
+//! trades: the IVF and quantized-IVF probes sweep `nprobe`, and the exact
 //! flat scan anchors recall = 1. Ground truth is the `ExactSearch` oracle
 //! over the same frozen-tower embeddings.
 //!
@@ -13,8 +12,8 @@
 //! measured recall.
 //!
 //! At `small`/`full` scale the results are also written to the repo-root
-//! `BENCH_backends.json` baseline (the acceptance record that the proximity
-//! graph reaches IVF recall@10 at some beam width).
+//! `BENCH_backends.json` baseline (the acceptance record that the quantized
+//! IVF stays within 1% of the f32 IVF's recall@10 at equal `nprobe`).
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -26,8 +25,7 @@ use zoomer_core::graph::{read_snapshot, write_snapshot};
 use zoomer_core::model::{ModelConfig, UnifiedCtrModel};
 use zoomer_core::obs::MetricsRegistry;
 use zoomer_core::serving::{
-    ExactSearch, FrozenModel, IvfIndex, ProximityGraph, QuantizedIvf, SearchBackend,
-    DEFAULT_RERANK_FACTOR,
+    ExactSearch, FrozenModel, IvfIndex, QuantizedIvf, SearchBackend, DEFAULT_RERANK_FACTOR,
 };
 use zoomer_core::tensor::Matrix;
 
@@ -61,7 +59,7 @@ fn main() {
     let seed = 913;
     banner(
         "Search backends — recall@10 vs latency vs build cost",
-        "acceptance: proximity graph reaches IVF recall@10 at some beam width",
+        "acceptance: quantized recall@10 within 1% of f32 IVF at equal nprobe",
         scale,
         seed,
     );
@@ -143,21 +141,6 @@ fn main() {
         row("ivf", "nprobe", nprobe, recall, us, ivf_build_ms);
     }
 
-    // Proximity graph: one build (the graph does not depend on the beam),
-    // beam-width sweep via `set_beam_width`.
-    let t0 = Instant::now();
-    let mut graph = ProximityGraph::build(&items, 12, 32);
-    let graph_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut best_beam_recall = 0.0f64;
-    for beam in [8usize, 16, 32, 64, 128, 256] {
-        graph.set_beam_width(beam);
-        let us = query_us(&graph, &queries, k, reps);
-        let got = graph.search_batch(&queries, k).expect("proximity");
-        let recall = recall_at_k(&got, &truth);
-        best_beam_recall = best_beam_recall.max(recall);
-        row("proximity", "beam", beam, recall, us, graph_build_ms);
-    }
-
     // Quantized IVF: adopt the f32 index's partition (equal nprobe ⇒ the
     // same lists probed, so recall deltas measure quantization alone) and
     // sweep the same budgets. Probe-volume counters turn into bytes/query:
@@ -198,12 +181,7 @@ fn main() {
     }
 
     println!(
-        "\nproximity best recall@10: {best_beam_recall:.3} | IVF best (nprobe<=16): {ivf_best_recall:.3} | IVF default (nprobe=4): {ivf_default_recall:.3}"
-    );
-    let acceptance = best_beam_recall >= ivf_default_recall;
-    println!(
-        "acceptance (proximity >= IVF default recall@10 at some beam): {}",
-        if acceptance { "PASS" } else { "FAIL" }
+        "\nIVF best (nprobe<=16): {ivf_best_recall:.3} | IVF default (nprobe=4): {ivf_default_recall:.3}"
     );
     let quant_acceptance = quant_default_recall >= ivf_default_recall - 0.01;
     println!(
@@ -279,10 +257,8 @@ fn main() {
         "queries": queries.rows(),
         "k": k,
         "rows": json_rows,
-        "proximity_best_recall_at_10": best_beam_recall,
         "ivf_default_recall_at_10": ivf_default_recall,
         "ivf_best_recall_at_10": ivf_best_recall,
-        "proximity_reaches_ivf_recall": acceptance,
         "quant_default_recall_at_10": quant_default_recall,
         "quant_within_1pct_of_ivf": quant_acceptance,
         "quant_compression_ratio": mem.compression_ratio(),

@@ -57,7 +57,8 @@ fn main() {
             .seed(seed)
             .build()
             .expect("server build");
-        // Warm as the deployed system's asynchronous refresher would.
+        // Warm the caches first: the figure measures a long-running
+        // deployment's steady state, not its cold start.
         let warm: Vec<u32> = request_pool.iter().flat_map(|q| [q.user, q.query]).collect();
         server.warm_cache(&warm).expect("warm cache");
         println!("\n-- {label} --");
@@ -172,10 +173,10 @@ fn main() {
         "speedup_vs_per_request_series": vs_per_request,
     }));
     // Per-backend axis: the same cached workload served through each
-    // retrieval backend (IVF at its default nprobe, the exact flat scan,
-    // and the relevance proximity graph at its default beam). One open-loop
-    // latency row plus closed-loop batch=16 throughput per backend; deeper
-    // recall/latency/build-cost tradeoffs live in the `backends` bench.
+    // retrieval backend (IVF at its default nprobe and the exact flat scan).
+    // One open-loop latency row plus closed-loop batch=16 throughput per
+    // backend; deeper recall/latency/build-cost tradeoffs live in the
+    // `backends` bench.
     println!("\n-- retrieval backends (open loop 2000 QPS + closed loop batch=16) --");
     println!(
         "{:>10} {:>10} {:>10} {:>10} {:>12}",
@@ -184,7 +185,7 @@ fn main() {
     let backend_qps = 2000.0;
     let n = ((backend_qps * window_secs) as usize).clamp(200, 40_000);
     let requests: Vec<Query> = request_pool.iter().cycle().take(n).copied().collect();
-    for backend in [BackendKind::Ivf, BackendKind::Exact, BackendKind::Proximity] {
+    for backend in [BackendKind::Ivf, BackendKind::Exact] {
         let server = OnlineServer::builder()
             .graph(Arc::clone(&graph))
             .frozen(FrozenModel::from_model(&mut model, &graph))

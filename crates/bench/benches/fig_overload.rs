@@ -63,10 +63,9 @@ fn main() {
 
     // The whole protocol (capacity probe, then the overload sweep) runs once
     // per retrieval backend: each backend has its own capacity and its own
-    // degraded ladder (nprobe capping for IVF, beam capping for the
-    // proximity graph, neither for the exact scan).
+    // degraded ladder (nprobe capping for IVF, none for the exact scan).
     let mut json_rows = Vec::new();
-    for backend in [BackendKind::Ivf, BackendKind::Proximity, BackendKind::Exact] {
+    for backend in [BackendKind::Ivf, BackendKind::Exact] {
         let server = OnlineServer::builder()
             .graph(Arc::clone(&graph))
             .frozen(FrozenModel::from_model(&mut model, &graph))

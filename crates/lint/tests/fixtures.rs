@@ -262,12 +262,12 @@ fn fault_module_is_covered_by_l001_and_the_no_allow_zone() {
 
 #[test]
 fn backend_modules_are_covered_by_l001_and_the_no_allow_zone() {
-    // The SearchBackend trait and the proximity-graph backend are on the
-    // serving hot path like every other probe: non-test code may not panic
-    // and the escape hatch is void. New files under crates/serving/src are
-    // picked up automatically — this fixture pins that for the backend
-    // modules added with the multi-backend refactor.
-    for path in ["crates/serving/src/backend.rs", "crates/serving/src/proximity.rs"] {
+    // The SearchBackend trait and the quantized backend are on the serving
+    // hot path like every other probe: non-test code may not panic and the
+    // escape hatch is void. New files under crates/serving/src are picked
+    // up automatically — this fixture pins that for the backend modules
+    // added with the multi-backend refactor.
+    for path in ["crates/serving/src/backend.rs", "crates/serving/src/quantized.rs"] {
         let src = "fn probe() {\n\
                    \x20   panic!(\"backends degrade, they do not panic\");\n\
                    }\n";

@@ -1,21 +1,17 @@
 //! Pluggable retrieval backends behind one `SearchBackend` contract.
 //!
 //! The paper's ROI retrieval (IVF inverted lists over frozen-tower
-//! embeddings) is one point in a family of ANN strategies; Relevance
-//! Proximity Graphs search a navigable neighbor graph with the model's own
-//! relevance function instead. [`SearchBackend`] captures the full contract
+//! embeddings) is one point in a family of ANN strategies.
+//! [`SearchBackend`] captures the full contract
 //! [`crate::OnlineServer`] uses — the batched probe, the deadline-bounded
 //! probe with budget capping, the exact widening scan, and the obs hook — so
 //! the server, degraded-mode ladder, and benches are backend-agnostic.
 //!
-//! Four implementations:
+//! Three implementations:
 //! - [`crate::IvfIndex`] via [`IvfBackend`] — the paper's IVF-Flat path,
 //!   budget axis = `nprobe` (coarse lists probed per query).
 //! - [`ExactSearch`] — the exact flat scan, promoted from recall-baseline
 //!   oracle to a first-class backend. Single budget rung; never degraded.
-//! - [`crate::ProximityGraph`] — a navigable neighbor graph over the frozen
-//!   tower's item embeddings, searched by beam search under the frozen
-//!   relevance score; budget axis = beam width.
 //! - [`QuantizedIvf`] — IVF over int8-quantized codes with exact f32 rerank
 //!   of the shortlist (the billion-tier memory-scaling path); budget axis =
 //!   `nprobe`, same rounds discipline as IVF.
@@ -31,7 +27,6 @@ use zoomer_tensor::{dot, Matrix};
 use crate::ann::IvfIndex;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
-use crate::proximity::ProximityGraph;
 use crate::quantized::QuantizedIvf;
 use crate::topk::TopK;
 
@@ -44,9 +39,6 @@ pub enum BackendKind {
     Ivf,
     /// Exact flat scan — full recall, O(pool) per query. Budget: none.
     Exact,
-    /// Relevance proximity graph — beam search over a navigable neighbor
-    /// graph. Budget: beam width.
-    Proximity,
     /// IVF over int8-quantized codes with exact f32 rerank of the
     /// `rerank_factor × k` shortlist — the billion-tier memory-scaling
     /// path. Budget: `nprobe`, like IVF.
@@ -58,7 +50,6 @@ impl BackendKind {
         match self {
             BackendKind::Ivf => "ivf",
             BackendKind::Exact => "exact",
-            BackendKind::Proximity => "proximity",
             BackendKind::Quantized => "quantized",
         }
     }
@@ -70,7 +61,8 @@ impl BackendKind {
 pub struct BoundedSearch {
     pub results: Vec<Vec<(u64, f32)>>,
     /// Budget actually spent, in the backend's own units — probe rounds
-    /// (= lists per query) for IVF, beam width for the proximity graph.
+    /// (= lists per query) for IVF and the quantized IVF, 1 for the exact
+    /// scan.
     /// Strictly smaller than [`BoundedSearch::full_budget`] means the
     /// deadline capped the probe mid-flight (a degraded answer: every query
     /// was still searched at the effective width).
@@ -95,8 +87,7 @@ pub struct BackendStats {
     /// Query rows searched (`serve.backend.queries`).
     pub queries: Counter,
     /// Candidate vectors exactly scored (`serve.backend.candidates_scored`):
-    /// list members for IVF, expanded graph nodes for the proximity graph,
-    /// the whole pool per query for the exact scan.
+    /// list members for IVF, the whole pool per query for the exact scan.
     pub candidates_scored: Counter,
 }
 
@@ -150,8 +141,7 @@ pub trait SearchBackend {
 
     /// Minimum-width probe: the narrowest answer this backend can produce —
     /// round 0 of the deadline ladder, which always completes (one coarse
-    /// list per query for IVF, the entry beam for the proximity graph, the
-    /// whole scan for exact). The brownout ladder's prescriptive
+    /// list per query for IVF, the whole scan for exact). The brownout ladder's prescriptive
     /// `CapBudget` rung probes exactly this, so a forced rung costs the
     /// floor and nothing more. Implemented via the deadline path with an
     /// already-expired budget; backends with a cheaper direct floor may
@@ -395,7 +385,6 @@ impl SearchBackend for ExactSearch {
 pub enum Backend {
     Ivf(IvfBackend),
     Exact(ExactSearch),
-    Proximity(ProximityGraph),
     Quantized(QuantizedIvf),
 }
 
@@ -404,7 +393,6 @@ impl Backend {
         match self {
             Backend::Ivf(_) => BackendKind::Ivf,
             Backend::Exact(_) => BackendKind::Exact,
-            Backend::Proximity(_) => BackendKind::Proximity,
             Backend::Quantized(_) => BackendKind::Quantized,
         }
     }
@@ -433,7 +421,6 @@ macro_rules! dispatch {
         match $self {
             Backend::Ivf($b) => $body,
             Backend::Exact($b) => $body,
-            Backend::Proximity($b) => $body,
             Backend::Quantized($b) => $body,
         }
     };

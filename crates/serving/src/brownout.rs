@@ -12,7 +12,7 @@
 //! | [`BrownoutRung::Full`]       | none | — |
 //! | [`BrownoutRung::SkipWiden`]  | skip the O(pool) exact-rerank widening of under-full lists | `serve.degraded.skip_widen` |
 //! | [`BrownoutRung::ShrinkTopK`] | halve each query's result list (and skip widening) | `serve.degraded.topk_shrunk` |
-//! | [`BrownoutRung::CapBudget`]  | cap the probe width (`nprobe` / beam) between rounds | `serve.degraded.budget_capped` |
+//! | [`BrownoutRung::CapBudget`]  | cap the probe width (`nprobe`) between rounds | `serve.degraded.budget_capped` |
 //! | [`BrownoutRung::Fallback`]   | inverted-index posting lookup only | `serve.degraded.fallback` |
 //!
 //! The rung is selected **per batch** from the remaining deadline budget
@@ -36,8 +36,8 @@ pub enum BrownoutRung {
     /// Halve each query's top-k (and skip widening): rank work and reply
     /// size shrink, the probe still runs at full width.
     ShrinkTopK,
-    /// Cap the probe budget (`nprobe` for IVF, beam width for the proximity
-    /// graph) between rounds; widening skipped, top-k halved.
+    /// Cap the probe budget (`nprobe` for the IVF backends) between rounds;
+    /// widening skipped, top-k halved.
     CapBudget,
     /// Answer from the inverted index alone — no embedding, no probe.
     Fallback,

@@ -1,115 +1,63 @@
-//! Per-node neighbor caches with asynchronous refresh.
+//! Per-node neighbor caches.
 //!
 //! §VII-E: "we deploy caches for dynamically storing k last visited
 //! neighbors for each user and query nodes, thus avoiding the overhead for
-//! the aggregation operation. In our production deployment, k is set to 30.
-//! Besides, the cache updating is fully asynchronous from users' timely
-//! requests." The request path only ever reads the cache; misses enqueue a
-//! refresh and fall back to computing inline (first touch) — subsequent
-//! requests hit.
+//! the aggregation operation. In our production deployment, k is set to 30."
+//! The paper also updates its caches asynchronously. Here the request path
+//! reads the cache and fills a miss inline, in the same batch
+//! (`get_many`, then `insert_many`): the neighbors come from an immutable
+//! graph snapshot, so there is nothing to refresh in the background.
 //!
-//! Eviction is **degree-of-interest aware**: every entry carries a DOI
-//! score
+//! Eviction is a **frequency-aware CLOCK**. Every entry carries a
+//! degree-of-interest score
 //!
 //! ```text
-//! DOI = α·Recency + β·Frequency + γ·ExplicitInterest − δ·DistanceFromFocus
+//! DOI = 0.30·Recency + 0.20·Frequency
 //! ```
 //!
-//! folded into four tiers (High / Medium / Low / Ghost). The second-chance
-//! clock sweep evicts Ghost and Low entries before it will consider Medium,
-//! and refuses to evict a High-tier entry for a colder newcomer at all
-//! (DOI-gated admission), so a one-shot adversarial scan cannot flush the
-//! focal-hot working set. Hit counters decay on a logical-tick schedule so
-//! yesterday's hot node does not stay High forever.
-//!
-//! Overload robustness: the cache is **capacity-bounded** and the refresher
-//! queue is **bounded** with a pending-node dedup set. A refresh the full
-//! queue sheds is parked on a bounded retry side queue (deterministic
-//! per-node jitter) and re-driven by the worker instead of being lost until
-//! the next organic miss; drops, retries, and recoveries are counted
-//! (`serve.cache.refresh.*`).
+//! and the second-chance hand evicts the first unreferenced entry scoring
+//! below [`DOI_EVICT_BELOW`] within two laps, else the entry under the
+//! hand. A one-shot scan therefore churns through its own fresh, unhit
+//! entries while a working set that keeps being requested stays resident.
+//! Hit counters decay on a logical-tick schedule so yesterday's hot node
+//! does not stay warm forever. Every newcomer is admitted, and the cache is
+//! **capacity-bounded**: each install past capacity evicts exactly one
+//! entry.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use zoomer_graph::NodeId;
-use zoomer_obs::{CacheStats, Counter, MetricsRegistry};
+use zoomer_obs::CacheStats;
 
 /// DOI weight on the recency term (`1 / (1 + ticks_since_last_touch)`).
 pub const DOI_RECENCY_WEIGHT: f32 = 0.30;
 /// DOI weight on the decayed hit-frequency term
 /// (`ln(1 + hits) / ln(1 + max_hits)`).
 pub const DOI_FREQUENCY_WEIGHT: f32 = 0.20;
-/// DOI weight on explicit interest (a pinned entry).
-pub const DOI_EXPLICIT_WEIGHT: f32 = 0.30;
-/// DOI weight (subtractive) on hop distance from the focal set.
-pub const DOI_DISTANCE_WEIGHT: f32 = 0.20;
-/// Focal distances at or beyond this count as maximally far (term = 1).
-pub const DOI_MAX_FOCAL_DISTANCE: u8 = 4;
+/// An unreferenced entry scoring below this is evictable on the sweep's
+/// first two laps.
+pub const DOI_EVICT_BELOW: f32 = 0.30;
 
 /// Hit counters (and the cache-wide max they normalize against) halve every
 /// this many installs, so frequency reflects the recent request mix rather
 /// than all-time totals.
 const DOI_DECAY_PERIOD: u64 = 1024;
 
-/// Degree-of-interest tier, ordered coldest → hottest. Eviction consumes
-/// the low end first; [`DoiTier::High`] entries are admission-protected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DoiTier {
-    /// Score below 0.10: effectively forgotten, first out.
-    Ghost,
-    /// Score in [0.10, 0.30): cold, evicted before anything warmer.
-    Low,
-    /// Score in [0.30, 0.65): warm; evicted only when no Ghost/Low exists.
-    Medium,
-    /// Score at or above 0.65: focal-hot; never evicted for a colder
-    /// newcomer.
-    High,
-}
-
-impl DoiTier {
-    /// Tier thresholds over the DOI score.
-    pub fn from_score(score: f32) -> Self {
-        if score >= 0.65 {
-            DoiTier::High
-        } else if score >= 0.30 {
-            DoiTier::Medium
-        } else if score >= 0.10 {
-            DoiTier::Low
-        } else {
-            DoiTier::Ghost
-        }
-    }
-}
-
-/// The degree-of-interest score of one cache entry, in roughly [-δ, α+β+γ].
+/// The degree-of-interest score of one cache entry, finite and in
+/// `[0, 0.5]`.
 ///
 /// This runs under the cache's locks on every eviction sweep, so it is
-/// written panic-free by construction: saturating age arithmetic, clamped
-/// distance, and a guarded log normalizer (zoomer-lint L001 pins this —
-/// see `crates/lint/tests/fixtures.rs`).
-pub fn doi_score(
-    now_tick: u64,
-    last_touch_tick: u64,
-    hits: u64,
-    max_hits: u64,
-    focal_distance: u8,
-    pinned: bool,
-) -> f32 {
+/// written panic-free by construction: saturating age arithmetic and a
+/// guarded log normalizer (zoomer-lint L001 pins this — see
+/// `crates/lint/tests/fixtures.rs`).
+pub fn doi_score(now_tick: u64, last_touch_tick: u64, hits: u64, max_hits: u64) -> f32 {
     let age = now_tick.saturating_sub(last_touch_tick) as f32;
     let recency = 1.0 / (1.0 + age);
     let denom = (1.0 + max_hits.max(1) as f32).ln();
     let frequency = if denom > 0.0 { (1.0 + hits as f32).ln() / denom } else { 0.0 };
-    let explicit = if pinned { 1.0 } else { 0.0 };
-    let distance =
-        (focal_distance.min(DOI_MAX_FOCAL_DISTANCE) as f32) / DOI_MAX_FOCAL_DISTANCE.max(1) as f32;
-    DOI_RECENCY_WEIGHT * recency
-        + DOI_FREQUENCY_WEIGHT * frequency.clamp(0.0, 1.0)
-        + DOI_EXPLICIT_WEIGHT * explicit
-        - DOI_DISTANCE_WEIGHT * distance
+    DOI_RECENCY_WEIGHT * recency + DOI_FREQUENCY_WEIGHT * frequency.clamp(0.0, 1.0)
 }
 
 /// One cached entry: the neighbor list, the second-chance reference bit,
@@ -121,25 +69,17 @@ struct Slot {
     referenced: AtomicBool,
     /// Decayed hit counter (halved every [`DOI_DECAY_PERIOD`] installs).
     hits: AtomicU64,
-    /// Logical install tick of the last touch (hit, install, or refresh).
+    /// Logical install tick of the last touch (hit, install, or replace).
     last_touch: AtomicU64,
-    /// Explicit interest: pinned entries carry the γ term.
-    pinned: AtomicBool,
-    /// Hop distance from the focal set; request-path entries are distance 0
-    /// (the requested node itself), prefetched frontier entries sit further
-    /// out and go first.
-    focal_distance: u8,
 }
 
 impl Slot {
-    fn new(neighbors: Arc<Vec<NodeId>>, tick: u64, focal_distance: u8) -> Self {
+    fn new(neighbors: Arc<Vec<NodeId>>, tick: u64) -> Self {
         Self {
             neighbors,
             referenced: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             last_touch: AtomicU64::new(tick),
-            pinned: AtomicBool::new(false),
-            focal_distance,
         }
     }
 
@@ -149,13 +89,7 @@ impl Slot {
             self.last_touch.load(Ordering::Relaxed),
             self.hits.load(Ordering::Relaxed),
             max_hits,
-            self.focal_distance,
-            self.pinned.load(Ordering::Relaxed),
         )
-    }
-
-    fn tier(&self, now_tick: u64, max_hits: u64) -> DoiTier {
-        DoiTier::from_score(self.score(now_tick, max_hits))
     }
 }
 
@@ -168,7 +102,7 @@ struct ClockState {
 }
 
 /// Thread-safe neighbor cache: node → up-to-`k` cached neighbor ids, at most
-/// `capacity` entries (DOI-tiered second-chance eviction beyond that).
+/// `capacity` entries (frequency-aware second-chance eviction beyond that).
 pub struct NeighborCache {
     k: usize,
     capacity: usize,
@@ -182,9 +116,6 @@ pub struct NeighborCache {
     misses: AtomicU64,
     refreshes: AtomicU64,
     evictions: AtomicU64,
-    /// Installs refused because every resident entry was High-tier and
-    /// warmer than the newcomer (DOI-gated admission).
-    admission_rejected: AtomicU64,
 }
 
 impl NeighborCache {
@@ -211,7 +142,6 @@ impl NeighborCache {
             misses: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
         }
     }
 
@@ -262,100 +192,57 @@ impl NeighborCache {
         self.max_hits.store(m / 2, Ordering::Relaxed);
     }
 
-    /// Install `node → neighbors` under the held write lock, evicting via
-    /// the DOI-tiered second-chance clock if the cache is full. Returns
-    /// whether the entry was installed: `false` means admission was refused
-    /// because every resident entry was High-tier and warmer than this
-    /// newcomer.
-    fn install_locked(
-        &self,
-        state: &mut ClockState,
-        node: NodeId,
-        neighbors: Arc<Vec<NodeId>>,
-        focal_distance: u8,
-    ) -> bool {
+    /// Install `node → neighbors` under the held write lock, evicting one
+    /// entry via the second-chance clock if the cache is full.
+    fn install_locked(&self, state: &mut ClockState, node: NodeId, neighbors: Arc<Vec<NodeId>>) {
         if let Some(slot) = state.map.get_mut(&node) {
-            // Replace in place (refresh path); the entry is demonstrably
-            // live, so it keeps its second chance, its hit history, and its
-            // pin.
+            // Replace in place; the entry is demonstrably live, so it keeps
+            // its second chance and its hit history.
             slot.neighbors = neighbors;
             slot.referenced.store(true, Ordering::Relaxed);
             slot.last_touch.store(self.tick.load(Ordering::Relaxed), Ordering::Relaxed);
-            return true;
+            return;
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         self.maybe_decay(state, tick);
         if state.ring.len() < self.capacity {
             state.ring.push(node);
-            state.map.insert(node, Slot::new(neighbors, tick, focal_distance));
-            return true;
+            state.map.insert(node, Slot::new(neighbors, tick));
+            return;
         }
-        // DOI-tiered second-chance sweep. Pass 1 walks up to two laps
-        // seeking an unreferenced Ghost/Low entry (after one lap every
-        // reference bit is clear, so the second lap finds any Ghost/Low
-        // entry that exists), noting the lowest tier seen. Pass 2 runs only
-        // when nothing at or below Low exists but something below High
-        // does: one more lap (bits now clear) takes the first Medium entry.
-        // If every resident is High-tier, the install itself is refused —
-        // a one-shot scan must not flush the focal-hot working set.
+        // Second-chance sweep. Up to two laps seek an unreferenced entry
+        // scoring below `DOI_EVICT_BELOW` (after one lap every reference bit
+        // is clear, so the second lap finds any such entry that exists).
+        // When every resident scores at or above it, the entry under the
+        // hand goes.
         let len = state.ring.len();
         let max_hits = self.max_hits.load(Ordering::Relaxed);
-        let mut lowest_seen = DoiTier::High;
-        let mut victim: Option<usize> = None;
-        let mut steps = 0usize;
-        while steps < 2 * len {
+        let mut victim = None;
+        for _ in 0..2 * len {
             let idx = state.hand % len;
-            let candidate = state.ring[idx];
             state.hand = (idx + 1) % len;
-            steps += 1;
-            let Some(slot) = state.map.get(&candidate) else {
+            let Some(slot) = state.map.get(&state.ring[idx]) else {
                 // Invariant break (ring key missing from map): reuse the
                 // slot rather than walk forever.
                 victim = Some(idx);
                 break;
             };
             let referenced = slot.referenced.swap(false, Ordering::Relaxed);
-            let tier = slot.tier(tick, max_hits);
-            if tier < lowest_seen {
-                lowest_seen = tier;
-            }
-            if !referenced && tier <= DoiTier::Low {
+            if !referenced && slot.score(tick, max_hits) < DOI_EVICT_BELOW {
                 victim = Some(idx);
                 break;
             }
         }
-        if victim.is_none() && lowest_seen < DoiTier::High {
-            let mut steps = 0usize;
-            while steps < len {
-                let idx = state.hand % len;
-                let candidate = state.ring[idx];
-                state.hand = (idx + 1) % len;
-                steps += 1;
-                let is_victim = state
-                    .map
-                    .get(&candidate)
-                    .map(|s| s.tier(tick, max_hits) <= DoiTier::Medium)
-                    .unwrap_or(true);
-                if is_victim {
-                    victim = Some(idx);
-                    break;
-                }
-            }
-        }
-        let Some(idx) = victim else {
-            // DOI-gated admission: every resident entry is High-tier, and a
-            // fresh entry scores at most α + β (no pin, no history) — below
-            // the High threshold. Caching this newcomer would trade hot
-            // state for a one-shot scan; keep the working set instead.
-            self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
+        let idx = victim.unwrap_or_else(|| {
+            let idx = state.hand % len;
+            state.hand = (idx + 1) % len;
+            idx
+        });
         let evicted = state.ring[idx];
         state.map.remove(&evicted);
         state.ring[idx] = node;
-        state.map.insert(node, Slot::new(neighbors, tick, focal_distance));
+        state.map.insert(node, Slot::new(neighbors, tick));
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// Cached neighbors, or `None` on a miss. A hit sets the entry's
@@ -388,7 +275,7 @@ impl NeighborCache {
         let mut fresh = compute();
         fresh.truncate(self.k);
         let arc = Arc::new(fresh);
-        self.install_locked(&mut self.write_state(), node, Arc::clone(&arc), 0);
+        self.install_locked(&mut self.write_state(), node, Arc::clone(&arc));
         arc
     }
 
@@ -426,58 +313,26 @@ impl NeighborCache {
         let mut state = self.write_state();
         arcs.into_iter()
             .map(|(n, a)| {
-                self.install_locked(&mut state, n, Arc::clone(&a), 0);
+                self.install_locked(&mut state, n, Arc::clone(&a));
                 a
             })
             .collect()
     }
 
-    /// Replace a node's cached neighbors (refresh path; counts toward
+    /// Install or replace a node's cached neighbors (counts toward
     /// [`CacheStats::refreshes`]).
-    pub fn put(&self, node: NodeId, neighbors: Vec<NodeId>) {
-        self.put_at_distance(node, neighbors, 0);
-    }
-
-    /// [`Self::put`] for an entry `focal_distance` hops out from the focal
-    /// set (prefetch path): farther entries score lower DOI and are evicted
-    /// first.
-    pub fn put_at_distance(&self, node: NodeId, mut neighbors: Vec<NodeId>, focal_distance: u8) {
+    pub fn put(&self, node: NodeId, mut neighbors: Vec<NodeId>) {
         neighbors.truncate(self.k);
-        self.install_locked(&mut self.write_state(), node, Arc::new(neighbors), focal_distance);
+        self.install_locked(&mut self.write_state(), node, Arc::new(neighbors));
         self.refreshes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Pin a resident entry (explicit interest — the DOI γ term). Returns
-    /// whether the node was resident. Pinned + recently touched entries
-    /// reach [`DoiTier::High`] and are admission-protected.
-    pub fn pin(&self, node: NodeId) -> bool {
-        let state = self.read_state();
-        match state.map.get(&node) {
-            Some(slot) => {
-                slot.pinned.store(true, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// A resident entry's current DOI score, or `None` if not cached.
-    /// Observability only: reads no counters, touches nothing.
-    pub fn doi(&self, node: NodeId) -> Option<f32> {
-        let state = self.read_state();
-        let max_hits = self.max_hits.load(Ordering::Relaxed);
-        let tick = self.tick.load(Ordering::Relaxed);
-        state.map.get(&node).map(|s| s.score(tick, max_hits))
-    }
-
-    /// A resident entry's current DOI tier, or `None` if not cached.
-    pub fn tier(&self, node: NodeId) -> Option<DoiTier> {
-        self.doi(node).map(DoiTier::from_score)
-    }
-
-    /// Installs refused by DOI-gated admission (all residents High-tier).
+    /// Installs refused at admission: always 0, because every newcomer is
+    /// admitted. The benchmark still reads it as
+    /// `cache.admissions_rejected`; it goes with that metric in a
+    /// benchmark-maintenance change.
     pub fn admissions_rejected(&self) -> u64 {
-        self.admission_rejected.load(Ordering::Relaxed)
+        0
     }
 
     pub fn len(&self) -> usize {
@@ -490,284 +345,13 @@ impl NeighborCache {
 
     /// Point-in-time counters as a named [`CacheStats`] — the type the
     /// metrics registry ingests (`MetricsRegistry::ingest_cache`). Hit rate
-    /// is derived there: `stats().hit_rate()`. Admission rejections are
-    /// separate ([`Self::admissions_rejected`], mirrored to the registry as
-    /// `cache.admission_rejected`).
+    /// is derived there: `stats().hit_rate()`.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             refreshes: self.refreshes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Configuration for [`CacheRefresher`]: queue depth plus the retry side
-/// queue that catches refreshes the full queue sheds.
-#[derive(Clone, Copy, Debug)]
-pub struct RefreshConfig {
-    /// Main refresh queue depth (minimum 1).
-    pub queue_capacity: usize,
-    /// Retry side-queue depth; `0` disables retry entirely (a shed refresh
-    /// is then lost until the next organic miss, but still counted).
-    pub retry_capacity: usize,
-    /// Base backoff before a shed refresh is retried.
-    pub retry_backoff: Duration,
-    /// Maximum deterministic per-node jitter added to the backoff, so a
-    /// burst of shed refreshes does not retry as a thundering herd.
-    pub retry_jitter: Duration,
-}
-
-impl Default for RefreshConfig {
-    fn default() -> Self {
-        Self {
-            queue_capacity: CacheRefresher::DEFAULT_QUEUE_CAPACITY,
-            retry_capacity: 128,
-            retry_backoff: Duration::from_millis(2),
-            retry_jitter: Duration::from_millis(6),
-        }
-    }
-}
-
-/// SplitMix64 — the per-node jitter hash. Deterministic so tests (and
-/// incident forensics) can reproduce a retry schedule exactly.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A refresh the full queue shed, parked until `due`.
-type RetryEntry = (Instant, NodeId);
-
-/// Background refresher: owns a worker thread that recomputes cache entries
-/// "fully asynchronous from users' timely requests".
-///
-/// The queue is bounded: a full queue **sheds** the refresh request instead
-/// of ever blocking the request path — but a shed refresh is not lost: it
-/// parks on a bounded retry side queue (backoff + deterministic per-node
-/// jitter) that the worker drains between arrivals, so the entry is
-/// recovered without waiting for the next organic miss. A pending-node set
-/// deduplicates requests, so N misses on one hot node cost one recompute,
-/// not N. Counters: `serve.cache.refresh.dropped` (queue-full sheds),
-/// `.retried` (retry attempts), `.recovered` (retries that landed).
-pub struct CacheRefresher {
-    tx: Option<Sender<NodeId>>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-    pending: Arc<Mutex<HashSet<NodeId>>>,
-    retry: Arc<Mutex<VecDeque<RetryEntry>>>,
-    config: RefreshConfig,
-    deduped: AtomicU64,
-    dropped: Counter,
-    retried: Counter,
-    recovered: Counter,
-}
-
-impl CacheRefresher {
-    /// Default refresh queue depth: deep enough that drops only happen under
-    /// sustained overload, shallow enough to bound memory and staleness.
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-    /// How often the worker polls the retry side queue while idle.
-    const RETRY_POLL: Duration = Duration::from_millis(1);
-
-    /// Spawn a refresher that recomputes entries with `compute` and installs
-    /// them into `cache`, with the default queue depth and retry policy,
-    /// counting into a private registry.
-    pub fn spawn(
-        cache: Arc<NeighborCache>,
-        compute: impl Fn(NodeId) -> Vec<NodeId> + Send + 'static,
-    ) -> Self {
-        Self::spawn_with(cache, RefreshConfig::default(), &MetricsRegistry::new(), compute)
-    }
-
-    /// [`Self::spawn`] with an explicit queue depth (minimum 1) and the
-    /// default retry policy.
-    pub fn with_queue_capacity(
-        cache: Arc<NeighborCache>,
-        queue_capacity: usize,
-        compute: impl Fn(NodeId) -> Vec<NodeId> + Send + 'static,
-    ) -> Self {
-        Self::spawn_with(
-            cache,
-            RefreshConfig { queue_capacity, ..RefreshConfig::default() },
-            &MetricsRegistry::new(),
-            compute,
-        )
-    }
-
-    /// Full-control constructor: explicit [`RefreshConfig`] and the registry
-    /// the `serve.cache.refresh.*` counters report into.
-    pub fn spawn_with(
-        cache: Arc<NeighborCache>,
-        config: RefreshConfig,
-        registry: &MetricsRegistry,
-        compute: impl Fn(NodeId) -> Vec<NodeId> + Send + 'static,
-    ) -> Self {
-        let (tx, rx) = bounded::<NodeId>(config.queue_capacity.max(1));
-        let pending = Arc::new(Mutex::new(HashSet::new()));
-        let retry = Arc::new(Mutex::new(VecDeque::<RetryEntry>::new()));
-        let retried = registry.counter("serve.cache.refresh.retried");
-        let recovered = registry.counter("serve.cache.refresh.recovered");
-        let worker_pending = Arc::clone(&pending);
-        let worker_retry = Arc::clone(&retry);
-        let worker_retried = retried.clone();
-        let worker_recovered = recovered.clone();
-        let retry_enabled = config.retry_capacity > 0;
-        let handle = std::thread::spawn(move || {
-            let mut refreshed = 0u64;
-            let refresh = |node: NodeId, refreshed: &mut u64| {
-                cache.put(node, compute(node));
-                // Clear pending only after the entry is installed, so a
-                // request arriving mid-refresh dedups against the compute
-                // that is already producing its answer.
-                worker_pending.lock().unwrap_or_else(PoisonError::into_inner).remove(&node);
-                *refreshed += 1;
-            };
-            let drain_due = |refreshed: &mut u64| loop {
-                let due = {
-                    let mut q = worker_retry.lock().unwrap_or_else(PoisonError::into_inner);
-                    let now = Instant::now();
-                    let pos = q.iter().position(|(at, _)| *at <= now);
-                    pos.and_then(|p| q.remove(p))
-                };
-                let Some((_, node)) = due else { break };
-                worker_retried.inc();
-                refresh(node, refreshed);
-                worker_recovered.inc();
-            };
-            if retry_enabled {
-                loop {
-                    match rx.recv_timeout(Self::RETRY_POLL) {
-                        Ok(node) => refresh(node, &mut refreshed),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                    drain_due(&mut refreshed);
-                }
-                // Shutdown flush: a shed refresh must not be lost just
-                // because the refresher is going down — retry everything
-                // still parked, due or not.
-                loop {
-                    let next =
-                        worker_retry.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
-                    let Some((_, node)) = next else { break };
-                    worker_retried.inc();
-                    refresh(node, &mut refreshed);
-                    worker_recovered.inc();
-                }
-            } else {
-                for node in rx {
-                    refresh(node, &mut refreshed);
-                }
-            }
-            refreshed
-        });
-        Self {
-            tx: Some(tx),
-            handle: Some(handle),
-            pending,
-            retry,
-            config,
-            deduped: AtomicU64::new(0),
-            dropped: registry.counter("serve.cache.refresh.dropped"),
-            retried,
-            recovered,
-        }
-    }
-
-    /// Enqueue a refresh; never blocks the request path. Returns whether the
-    /// request was accepted onto the main queue: `false` means it was
-    /// deduplicated against an already-pending refresh for the same node, or
-    /// the queue was full — in which case the refresh is parked on the retry
-    /// side queue (when enabled) rather than lost, and counted as a drop
-    /// either way.
-    pub fn request_refresh(&self, node: NodeId) -> bool {
-        let Some(tx) = &self.tx else {
-            return false;
-        };
-        {
-            let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            if !pending.insert(node) {
-                drop(pending);
-                self.deduped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        }
-        match tx.try_send(node) {
-            Ok(()) => true,
-            Err(_) => {
-                self.dropped.inc();
-                if self.config.retry_capacity > 0 {
-                    let mut q = self.retry.lock().unwrap_or_else(PoisonError::into_inner);
-                    if q.len() < self.config.retry_capacity {
-                        let jitter_ns = self.config.retry_jitter.as_nanos() as u64;
-                        let jitter = if jitter_ns == 0 {
-                            Duration::ZERO
-                        } else {
-                            Duration::from_nanos(splitmix64(node as u64) % jitter_ns)
-                        };
-                        let due = Instant::now() + self.config.retry_backoff + jitter;
-                        q.push_back((due, node));
-                        // Keep the node in pending: duplicates arriving while
-                        // it waits out its backoff still dedup.
-                        return false;
-                    }
-                }
-                // Retry disabled or side queue full: the refresh really is
-                // lost until the next organic miss.
-                self.pending.lock().unwrap_or_else(PoisonError::into_inner).remove(&node);
-                false
-            }
-        }
-    }
-
-    /// Requests deduplicated against an already-pending refresh.
-    pub fn deduped(&self) -> u64 {
-        self.deduped.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed because the main queue was full
-    /// (`serve.cache.refresh.dropped`) — parked for retry when the side
-    /// queue has room and retry is enabled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// Retry attempts driven off the side queue
-    /// (`serve.cache.refresh.retried`).
-    pub fn retried(&self) -> u64 {
-        self.retried.get()
-    }
-
-    /// Shed refreshes that eventually landed via retry
-    /// (`serve.cache.refresh.recovered`).
-    pub fn recovered(&self) -> u64 {
-        self.recovered.get()
-    }
-
-    /// Drain the queue and stop; returns how many entries were refreshed
-    /// (including recovered retries), or an error if the worker thread
-    /// panicked (e.g. a panicking `compute` closure) instead of taking the
-    /// caller down with it.
-    pub fn shutdown(mut self) -> Result<u64, crate::error::ServingError> {
-        drop(self.tx.take());
-        match self.handle.take() {
-            Some(h) => {
-                h.join().map_err(|_| crate::error::ServingError::WorkerPanicked("cache refresher"))
-            }
-            None => Ok(0),
-        }
-    }
-}
-
-impl Drop for CacheRefresher {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
         }
     }
 }
@@ -788,7 +372,6 @@ impl NeighborCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
 
     #[test]
     fn miss_then_hit() {
@@ -902,303 +485,28 @@ mod tests {
     }
 
     #[test]
-    fn doi_score_orders_tiers_sanely() {
-        // Fresh, hammered, pinned entry: the hottest possible score.
-        let hot = doi_score(100, 100, 50, 50, 0, true);
-        assert_eq!(DoiTier::from_score(hot), DoiTier::High);
-        // Fresh unpinned entry with no history lands Medium — warm enough
-        // to survive one sweep, cold enough that a scan churns itself.
-        let fresh = doi_score(100, 100, 0, 50, 0, false);
-        assert_eq!(DoiTier::from_score(fresh), DoiTier::Medium);
-        // One tick of silence demotes a history-free entry to Low...
-        let idle = doi_score(101, 100, 0, 50, 0, false);
-        assert_eq!(DoiTier::from_score(idle), DoiTier::Low);
-        // ...a few more and it is a Ghost; distance only pushes it deeper.
-        let ghost = doi_score(103, 100, 0, 50, 0, false);
-        assert_eq!(DoiTier::from_score(ghost), DoiTier::Ghost);
-        assert_eq!(DoiTier::from_score(doi_score(200, 100, 0, 50, 4, false)), DoiTier::Ghost);
-        // Distance strictly hurts; pinning strictly helps.
-        assert!(doi_score(10, 10, 3, 9, 4, false) < doi_score(10, 10, 3, 9, 0, false));
-        assert!(doi_score(10, 10, 3, 9, 0, true) > doi_score(10, 10, 3, 9, 0, false));
-        // Degenerate inputs stay finite (the scorer must be panic-free and
-        // NaN-free under the cache locks).
-        assert!(doi_score(0, u64::MAX, u64::MAX, 0, u8::MAX, true).is_finite());
-        assert!(doi_score(u64::MAX, 0, 0, u64::MAX, 0, false).is_finite());
-    }
-
-    #[test]
-    fn tier_and_doi_report_resident_entries() {
-        let cache = NeighborCache::with_capacity(4, 8);
-        cache.put(1, vec![9]);
-        assert!(cache.doi(1).is_some());
-        assert_eq!(cache.tier(1), Some(DoiTier::Medium), "fresh entry starts Medium");
-        assert_eq!(cache.tier(2), None);
-        assert!(cache.pin(1));
-        assert!(!cache.pin(2));
-        let _ = cache.get(1);
-        assert_eq!(cache.tier(1), Some(DoiTier::High), "pinned + touched is High");
-    }
-
-    #[test]
-    fn prefetched_far_entries_evict_before_near_ones() {
-        let cache = NeighborCache::with_capacity(4, 2);
-        cache.put_at_distance(1, vec![1], DOI_MAX_FOCAL_DISTANCE);
-        cache.put(2, vec![2]);
-        // Touch both so reference bits are equal; only distance differs.
-        let _ = cache.get(1);
-        let _ = cache.get(2);
-        cache.put(3, vec![3]);
-        assert!(cache.doi(1).is_none(), "the far prefetched entry goes first");
-        let _ = cache.get(2);
-        assert!(cache.stats().hits >= 3);
-    }
-
-    #[test]
-    fn adversarial_miss_stream_does_not_evict_high_tier_entries() {
-        // The satellite criterion: a one-shot scan (every request a distinct
-        // never-again node) must not flush High-tier entries. The pinned
-        // eviction rate for High entries under this stream is zero.
-        let capacity = 32;
-        let cache = NeighborCache::with_capacity(4, capacity);
-        let hot: Vec<NodeId> = (1_000_000..1_000_008).collect();
-        for &n in &hot {
-            cache.put(n, vec![n]);
-            assert!(cache.pin(n));
+    fn doi_score_orders_entries_sanely() {
+        // A just-touched entry with the most hits scores the maximum, 0.5;
+        // recency alone (no hits) reaches the eviction threshold only at
+        // age zero.
+        assert_eq!(doi_score(100, 100, 50, 50), 0.5);
+        assert_eq!(doi_score(100, 100, 0, 50), DOI_EVICT_BELOW);
+        // One tick of silence puts a hit-free entry below the threshold; a
+        // well-hit one stays above it.
+        assert!(doi_score(101, 100, 0, 50) < DOI_EVICT_BELOW);
+        assert!(doi_score(101, 100, 50, 50) >= DOI_EVICT_BELOW);
+        // Age strictly hurts; hits strictly help.
+        assert!(doi_score(20, 10, 3, 9) < doi_score(11, 10, 3, 9));
+        assert!(doi_score(11, 10, 4, 9) > doi_score(11, 10, 3, 9));
+        // Degenerate inputs stay finite and in range (the scorer must be
+        // panic-free and NaN-free under the cache locks).
+        for score in [
+            doi_score(0, u64::MAX, u64::MAX, 0),
+            doi_score(u64::MAX, 0, 0, u64::MAX),
+            doi_score(u64::MAX, u64::MAX, u64::MAX, u64::MAX),
+        ] {
+            assert!(score.is_finite() && (0.0..=0.5).contains(&score), "{score}");
         }
-        // Touch the whole set after the installs so every entry is at age
-        // zero with equal hit counts — pinned + fresh + hit scores High.
-        for &n in &hot {
-            assert!(cache.get(n).is_some());
-        }
-        for &n in &hot {
-            assert_eq!(cache.tier(n), Some(DoiTier::High), "pinned hot entry must start High");
-        }
-        for n in 0..10_000u32 {
-            let _ = cache.get_or_compute(n, || vec![n]);
-            if n % 16 == 0 {
-                // The hot set keeps being requested at a trickle, exactly
-                // like a focal working set under a scan.
-                for &h in &hot {
-                    assert!(cache.get(h).is_some(), "High-tier entry evicted by scan at {n}");
-                }
-            }
-        }
-        for &n in &hot {
-            // Touch first (the scan advanced the clock since the last
-            // trickle), then check the tier at age zero.
-            assert!(cache.get(n).is_some());
-            assert_eq!(
-                cache.tier(n),
-                Some(DoiTier::High),
-                "hot entry must still be High after the scan"
-            );
-        }
-        assert!(cache.len() <= capacity);
-        // The scan churned itself: evictions happened, just never to the
-        // High tier.
-        assert!(cache.stats().evictions > 0);
-    }
-
-    #[test]
-    fn admission_is_gated_when_every_resident_is_high_tier() {
-        let cache = NeighborCache::with_capacity(4, 4);
-        for n in 0..4u32 {
-            cache.put(n, vec![n]);
-            assert!(cache.pin(n));
-        }
-        // Touch after all installs so the whole set sits at age zero.
-        for n in 0..4u32 {
-            let _ = cache.get(n);
-        }
-        for n in 0..4u32 {
-            assert_eq!(cache.tier(n), Some(DoiTier::High));
-        }
-        assert_eq!(cache.admissions_rejected(), 0);
-        // A cold newcomer cannot displace a fully High-tier working set...
-        cache.put(99, vec![99]);
-        assert_eq!(cache.admissions_rejected(), 1, "install must be refused, not evict High");
-        assert!(cache.doi(99).is_none(), "refused entry must not be resident");
-        assert_eq!(cache.stats().evictions, 0);
-        for n in 0..4u32 {
-            // doi() observes without touching — survival, not a re-warm.
-            assert!(cache.doi(n).is_some(), "High entry {n} must survive");
-        }
-        // ...but as the working set cools (recency decays with the logical
-        // clock), residents drop below High and admission resumes — the
-        // gate protects *current* interest, it is not a permanent lease.
-        cache.put(100, vec![1]);
-        assert!(cache.doi(100).is_some(), "admission must resume once residents cool");
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.admissions_rejected(), 1, "a cooled set no longer refuses installs");
-    }
-
-    #[test]
-    fn refresher_updates_entries_asynchronously() {
-        let cache = Arc::new(NeighborCache::new(5));
-        cache.put(7, vec![1]);
-        let refresher =
-            CacheRefresher::spawn(Arc::clone(&cache), |node| vec![node + 100, node + 101]);
-        assert!(refresher.request_refresh(7));
-        assert!(refresher.request_refresh(8));
-        let done = refresher.shutdown().expect("refresher finished cleanly");
-        assert_eq!(done, 2);
-        assert_eq!(*cache.get(7).expect("refreshed"), vec![107, 108]);
-        assert_eq!(*cache.get(8).expect("filled"), vec![108, 109]);
-    }
-
-    #[test]
-    fn duplicate_refresh_requests_dedup_to_one_compute() {
-        let cache = Arc::new(NeighborCache::new(5));
-        // Gate the compute closure so the worker sits inside the first
-        // refresh while the duplicates arrive.
-        let (entered_tx, entered_rx) = unbounded::<NodeId>();
-        let (gate_tx, gate_rx) = unbounded::<()>();
-        let refresher = CacheRefresher::spawn(Arc::clone(&cache), move |n| {
-            let _ = entered_tx.send(n);
-            let _ = gate_rx.recv();
-            vec![n + 1]
-        });
-        assert!(refresher.request_refresh(42), "first request must enqueue");
-        assert_eq!(entered_rx.recv(), Ok(42), "worker must start the refresh");
-        for _ in 0..99 {
-            assert!(!refresher.request_refresh(42), "duplicates must dedup");
-        }
-        assert_eq!(refresher.deduped(), 99);
-        let _ = gate_tx.send(());
-        let done = refresher.shutdown().expect("clean shutdown");
-        assert_eq!(done, 1, "100 requests for one node must compute once");
-        assert_eq!(*cache.get(42).expect("refreshed"), vec![43]);
-    }
-
-    #[test]
-    fn full_refresh_queue_drops_instead_of_blocking() {
-        // Retry disabled: this pins the legacy drop-on-full contract — the
-        // shed refresh is lost, but observably so (`dropped` counts it).
-        let cache = Arc::new(NeighborCache::new(5));
-        let (entered_tx, entered_rx) = unbounded::<NodeId>();
-        let (gate_tx, gate_rx) = unbounded::<()>();
-        let config = RefreshConfig { queue_capacity: 2, retry_capacity: 0, ..Default::default() };
-        let registry = MetricsRegistry::new();
-        let refresher =
-            CacheRefresher::spawn_with(Arc::clone(&cache), config, &registry, move |n| {
-                let _ = entered_tx.send(n);
-                let _ = gate_rx.recv();
-                vec![n]
-            });
-        assert!(refresher.request_refresh(1));
-        // The worker is now blocked inside compute(1) and the queue is empty.
-        assert_eq!(entered_rx.recv(), Ok(1));
-        assert!(refresher.request_refresh(2));
-        assert!(refresher.request_refresh(3));
-        // Queue full: further requests return immediately as drops rather
-        // than blocking the (simulated) request thread.
-        assert!(!refresher.request_refresh(4));
-        assert!(!refresher.request_refresh(5));
-        assert_eq!(refresher.dropped(), 2);
-        // Drops are drops, not dedups: the pending entry was cleared, so a
-        // dropped node could be re-requested later.
-        assert_eq!(refresher.deduped(), 0);
-        // With retry disabled, nothing is ever retried or recovered.
-        assert_eq!(refresher.retried(), 0);
-        assert_eq!(refresher.recovered(), 0);
-        for _ in 0..3 {
-            let _ = gate_tx.send(());
-        }
-        let done = refresher.shutdown().expect("clean shutdown");
-        assert_eq!(done, 3);
-        assert!(cache.get(4).is_none(), "with retry disabled a dropped request must not refresh");
-    }
-
-    #[test]
-    fn dropped_refresh_is_recovered_by_retry_without_an_organic_miss() {
-        // The tentpole regression: a refresh the full queue sheds must land
-        // via the retry side queue, with no request-path miss driving it.
-        let cache = Arc::new(NeighborCache::new(5));
-        let (entered_tx, entered_rx) = unbounded::<NodeId>();
-        let (gate_tx, gate_rx) = unbounded::<()>();
-        let config = RefreshConfig {
-            queue_capacity: 1,
-            retry_capacity: 8,
-            retry_backoff: Duration::from_millis(1),
-            retry_jitter: Duration::from_millis(2),
-        };
-        let registry = MetricsRegistry::new();
-        let refresher =
-            CacheRefresher::spawn_with(Arc::clone(&cache), config, &registry, move |n| {
-                let _ = entered_tx.send(n);
-                let _ = gate_rx.recv();
-                vec![n + 1]
-            });
-        assert!(refresher.request_refresh(1));
-        assert_eq!(entered_rx.recv(), Ok(1), "worker must be inside compute(1)");
-        assert!(refresher.request_refresh(2), "fills the 1-deep queue");
-        assert!(!refresher.request_refresh(3), "queue full: shed to the retry side queue");
-        assert_eq!(refresher.dropped(), 1);
-        // The parked node still dedups while it waits out its backoff.
-        assert!(!refresher.request_refresh(3));
-        assert_eq!(refresher.deduped(), 1);
-        for _ in 0..3 {
-            let _ = gate_tx.send(());
-        }
-        // The retry lands without any cache.get() driving it.
-        let waited = Instant::now();
-        while refresher.recovered() < 1 {
-            assert!(waited.elapsed() < Duration::from_secs(10), "retry never recovered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(refresher.retried(), 1);
-        assert_eq!(refresher.recovered(), 1);
-        assert_eq!(cache.stats().misses, 0, "recovery must not ride on an organic miss");
-        assert_eq!(*cache.get(3).expect("recovered entry resident"), vec![4]);
-        // The counters mirror into the registry under their wire names.
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("serve.cache.refresh.dropped"), Some(1));
-        assert_eq!(snap.counter("serve.cache.refresh.retried"), Some(1));
-        assert_eq!(snap.counter("serve.cache.refresh.recovered"), Some(1));
-        let done = refresher.shutdown().expect("clean shutdown");
-        assert_eq!(done, 3, "all three refreshes landed exactly once");
-    }
-
-    #[test]
-    fn shutdown_flushes_parked_retries() {
-        // Even a retry whose backoff has not elapsed is driven at shutdown:
-        // "parked" never decays into "lost".
-        let cache = Arc::new(NeighborCache::new(5));
-        let (entered_tx, entered_rx) = unbounded::<NodeId>();
-        let (gate_tx, gate_rx) = unbounded::<()>();
-        let config = RefreshConfig {
-            queue_capacity: 1,
-            retry_capacity: 8,
-            retry_backoff: Duration::from_secs(3600),
-            retry_jitter: Duration::ZERO,
-        };
-        let registry = MetricsRegistry::new();
-        let refresher =
-            CacheRefresher::spawn_with(Arc::clone(&cache), config, &registry, move |n| {
-                let _ = entered_tx.send(n);
-                let _ = gate_rx.recv();
-                vec![n]
-            });
-        assert!(refresher.request_refresh(1));
-        assert_eq!(entered_rx.recv(), Ok(1));
-        assert!(refresher.request_refresh(2));
-        assert!(!refresher.request_refresh(3), "shed to retry with an hour of backoff");
-        assert_eq!(refresher.dropped(), 1);
-        for _ in 0..3 {
-            let _ = gate_tx.send(());
-        }
-        let done = refresher.shutdown().expect("clean shutdown");
-        assert_eq!(done, 3, "shutdown must flush the parked retry");
-        assert!(cache.get(3).is_some());
-    }
-
-    #[test]
-    fn panicking_refresher_reports_worker_panicked() {
-        let cache = Arc::new(NeighborCache::new(5));
-        let refresher = CacheRefresher::spawn(Arc::clone(&cache), |_| panic!("compute blew up"));
-        refresher.request_refresh(1);
-        let err = refresher.shutdown().expect_err("panicked worker must surface as an error");
-        assert!(matches!(err, crate::error::ServingError::WorkerPanicked(_)));
     }
 
     #[test]
@@ -1248,5 +556,104 @@ mod tests {
             }
         });
         assert!(cache.len() <= 32, "capacity bound must hold under concurrency");
+    }
+
+    #[test]
+    fn adversarial_miss_stream_does_not_evict_the_hot_set() {
+        // A one-shot scan (every request a distinct never-again node) must
+        // not flush a working set that keeps being requested. Nothing is
+        // pinned: hits and reference bits alone keep 8 hot entries, touched
+        // every 16 installs, resident through a 10 000-node scan of a
+        // 32-entry cache, while the scan churns itself.
+        let capacity = 32;
+        let cache = NeighborCache::with_capacity(4, capacity);
+        let hot: Vec<NodeId> = (1_000_000..1_000_008).collect();
+        for &h in &hot {
+            cache.put(h, vec![h]);
+        }
+        for n in 0..10_000u32 {
+            let _ = cache.get_or_compute(n, || vec![n]);
+            if n % 16 == 0 {
+                for &h in &hot {
+                    assert!(cache.get(h).is_some(), "hot entry {h} evicted by the scan at {n}");
+                }
+            }
+        }
+        for &h in &hot {
+            assert!(cache.get(h).is_some(), "hot entry {h} lost after the scan");
+        }
+        assert_eq!(cache.len(), capacity);
+        assert_eq!(cache.stats().evictions, 8 + 10_000 - capacity as u64);
+    }
+
+    #[test]
+    fn golden_trace_pins_hits_misses_and_evictions() {
+        // A fixed splitmix64 stream of 50 000 `get_many` / `insert_many`
+        // calls against a 64-entry cache, shaped like the serving path: a
+        // frame is looked up, then its misses are installed. Churn phases
+        // (frames of 1-8 keys, most of them cold, plus bare cold installs)
+        // alternate with quiet phases (frames of 16 keys from the 64-key hot
+        // set). Bursts look up the whole hot set and install one cold key;
+        // in a quiet phase that finds every resident at or above the 0.30
+        // threshold, so the sweep takes the entry under the hand. The
+        // installs cross 52 of the 1024-install decays. The triple was
+        // recorded at the parent of the change that collapsed the DOI tiers
+        // to one threshold, where this test passes as written.
+        let cache = NeighborCache::with_capacity(4, 64);
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let cold = |x: u64| 1_000 + (x % 100_000) as NodeId;
+        let mut calls = 0u32;
+        let mut step = 0u32;
+        while calls < 50_000 {
+            let r = next();
+            let quiet = (step / 2_500).is_multiple_of(2);
+            step += 1;
+            let (frame, extra): (Vec<NodeId>, u64) = if r % if quiet { 512 } else { 64 } == 0 {
+                ((0..64).collect(), 1)
+            } else if !quiet && r % 16 == 0 {
+                (Vec::new(), 1 + (r >> 16) % 3)
+            } else {
+                let (len, cold_in_64) = if quiet { (16, 0) } else { (1 + (r >> 8) % 8, 40) };
+                let frame = (0..len)
+                    .map(|_| {
+                        let x = next();
+                        if x % 64 < cold_in_64 {
+                            cold(x >> 8)
+                        } else {
+                            ((x >> 8) % 64) as NodeId
+                        }
+                    })
+                    .collect();
+                (frame, 0)
+            };
+            let mut installs: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+            if !frame.is_empty() {
+                let found = cache.get_many(&frame);
+                calls += 1;
+                installs.extend(
+                    frame
+                        .iter()
+                        .zip(&found)
+                        .filter(|(_, f)| f.is_none())
+                        .map(|(&k, _)| (k, vec![k])),
+                );
+            }
+            installs.extend((0..extra).map(|_| {
+                let k = cold(next());
+                (k, vec![k])
+            }));
+            cache.insert_many(installs);
+            calls += 1;
+        }
+        let s = cache.stats();
+        assert_eq!(cache.len(), 64);
+        assert_eq!((s.hits, s.misses, s.evictions), (219_148, 52_313, 53_416));
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the serving stack.
 //!
-//! Overload behavior — shedding, degraded modes, refresher recovery — must
+//! Overload behavior — shedding, degraded modes, lost shard replies — must
 //! be tested on purpose, not discovered by accident in production. A
 //! [`FaultInjector`] fires at fixed sites on the request path (stage
-//! boundaries in `handle_batch`, ANN probe rounds, refresh computes) on a
+//! boundaries in `handle_batch`, ANN probe rounds, shard replies) on a
 //! **seed-derived arithmetic schedule**: rule `every = p` with seed `s`
 //! fires on calls where `(n + phase(s)) % p == 0`, `n` counting that site's
 //! calls. Same seed ⇒ same phases ⇒ the same injected schedule and the same
@@ -19,8 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use zoomer_graph::NodeId;
-
 /// Where on the serving path a fault can fire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
@@ -30,11 +28,8 @@ pub enum FaultSite {
     Embed,
     /// Before the batch's ANN probe stage.
     AnnProbe,
-    /// At the start of each round of a deadline-bounded backend probe: an
-    /// IVF probe round or a proximity-graph beam-ladder rung.
+    /// At the start of each round of a deadline-bounded backend probe.
     AnnRound,
-    /// Inside a wrapped refresher compute ([`FaultInjector::wrap_refresh`]).
-    Refresh,
     /// In a scatter-gather shard worker, after the shard has ranked its
     /// partition but before the reply is sent back to the router. A
     /// `Delay` here holds the reply past the router's gather timeout
@@ -44,7 +39,7 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    const COUNT: usize = 6;
+    const COUNT: usize = 5;
 
     fn index(self) -> usize {
         match self {
@@ -52,8 +47,7 @@ impl FaultSite {
             FaultSite::Embed => 1,
             FaultSite::AnnProbe => 2,
             FaultSite::AnnRound => 3,
-            FaultSite::Refresh => 4,
-            FaultSite::ShardReply => 5,
+            FaultSite::ShardReply => 4,
         }
     }
 }
@@ -177,21 +171,6 @@ impl FaultInjector {
     pub fn injected_total(&self) -> u64 {
         self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
-
-    /// Wrap a refresher compute closure so every invocation passes through
-    /// the [`FaultSite::Refresh`] site first — injected delays stall the
-    /// (asynchronous) refresh, injected panics kill the refresh worker,
-    /// exercising `CacheRefresher::shutdown`'s `WorkerPanicked` reporting.
-    pub fn wrap_refresh(
-        self: &Arc<Self>,
-        compute: impl Fn(NodeId) -> Vec<NodeId> + Send + 'static,
-    ) -> impl Fn(NodeId) -> Vec<NodeId> + Send + 'static {
-        let injector = Arc::clone(self);
-        move |node| {
-            injector.fire(FaultSite::Refresh);
-            compute(node)
-        }
-    }
 }
 
 /// SplitMix64: a tiny, well-mixed integer hash (public-domain constants) —
@@ -268,15 +247,5 @@ mod tests {
         injector.fire(FaultSite::CacheResolve);
         assert_eq!(injector.calls(FaultSite::CacheResolve), 1);
         assert_eq!(injector.injected_total(), 0);
-    }
-
-    #[test]
-    fn wrapped_refresh_fires_the_refresh_site() {
-        let injector =
-            Arc::new(FaultPlan::new(1).delay(FaultSite::Refresh, 1, Duration::ZERO).build());
-        let compute = injector.wrap_refresh(|n| vec![n]);
-        assert_eq!(compute(4), vec![4]);
-        assert_eq!(compute(5), vec![5]);
-        assert_eq!(injector.injected(FaultSite::Refresh), 2);
     }
 }

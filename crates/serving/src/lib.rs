@@ -2,30 +2,28 @@
 //!
 //! §VI/§VII-E: after training, embeddings feed an ANN module that builds the
 //! inverted index served by iGraph; online, Zoomer caches each user/query
-//! node's k last-visited neighbors (k = 30), refreshes those caches
-//! asynchronously, keeps only the edge-level attention at inference, and
-//! answers thousands of QPS at millisecond latency.
+//! node's k last-visited neighbors (k = 30), keeps only the edge-level
+//! attention at inference, and answers thousands of QPS at millisecond
+//! latency. (The paper refreshes its caches asynchronously; here a miss is
+//! filled inline from the immutable graph snapshot.)
 //!
 //! Components:
 //! - [`backend`] — the [`SearchBackend`] trait and the enum-dispatched
 //!   [`Backend`] the server retrieves through: IVF-Flat ([`ann`]), the exact
-//!   flat scan ([`ExactSearch`]), the relevance proximity graph
-//!   ([`proximity`]), or the int8-quantized IVF with exact f32 rerank
-//!   ([`quantized`]). Selected via `ServingConfig::backend`.
+//!   flat scan ([`ExactSearch`]), or the int8-quantized IVF with exact f32
+//!   rerank ([`quantized`]). Selected via `ServingConfig::backend`.
 //! - [`ann`] — IVF-Flat approximate nearest neighbor index (k-means coarse
 //!   quantizer + inverted lists, inner-product scoring).
-//! - [`proximity`] — navigable neighbor graph over the frozen tower's item
-//!   embeddings, beam-searched under the frozen relevance score.
 //! - [`topk`] — the bounded streaming top-k every backend and the shard
 //!   merge rank through, in one total order (score, then id).
-//! - [`cache`] — per-node neighbor cache with DOI-tiered (degree-of-interest)
-//!   admission/eviction and an asynchronous refresh worker whose shed
-//!   refreshes retry from a bounded jittered side queue.
+//! - [`cache`] — per-node neighbor cache, capacity-bounded, evicting by a
+//!   frequency-aware CLOCK (a two-term degree-of-interest score).
 //! - [`brownout`] — the counted degradation ladder ([`BrownoutRung`]):
 //!   skip-widening → shrunk top-k → capped probe → inverted fallback,
 //!   selected per batch from the remaining deadline budget.
-//! - [`frozen`] — a thread-safe, tape-free snapshot of a trained model used
-//!   on the serving path (edge attention only).
+//! - [`FrozenModel`] (from `zoomer_model`) — the thread-safe, tape-free
+//!   snapshot of a trained model used on the serving path (edge attention
+//!   only).
 //! - [`server`] / [`shard`] / [`sharded`] — the one request path, cut at one
 //!   seam. The *front half* (`server`: validate → deadline admission →
 //!   counters → partitioned neighbor-cache resolve → one stacked embed) is
@@ -63,10 +61,8 @@ pub mod cache;
 pub mod deadline;
 pub mod error;
 pub mod fault;
-pub mod frozen;
 pub mod inverted;
 pub mod load;
-pub mod proximity;
 pub mod quantized;
 pub mod router;
 pub mod server;
@@ -80,17 +76,15 @@ pub use backend::{
     Backend, BackendKind, BackendStats, BoundedSearch, ExactSearch, IvfBackend, SearchBackend,
 };
 pub use brownout::BrownoutRung;
-pub use cache::{doi_score, CacheRefresher, DoiTier, NeighborCache, RefreshConfig};
+pub use cache::{doi_score, NeighborCache};
 pub use deadline::Deadline;
 pub use error::ServingError;
 pub use fault::{FaultInjector, FaultPlan, FaultSite};
-pub use frozen::FrozenModel;
 pub use inverted::InvertedIndex;
 pub use load::{
     run_load, Arrival, LatencySummary, LoadReport, LoadTestSpec, QueryService, ShedPolicy,
     StageSummary,
 };
-pub use proximity::ProximityGraph;
 pub use quantized::{QuantMemory, QuantizedIvf, DEFAULT_RERANK_FACTOR};
 pub use router::TenantFairGate;
 pub use server::{OnlineServer, ScoredRetrieval, ServerBuilder, ServingConfig, MAX_TOP_K};
@@ -101,4 +95,5 @@ pub use wire::{
     DEFAULT_MAX_CONNS, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use zoomer_graph::{queries_from_pairs, Query, Retrieval, ShardingConfig};
+pub use zoomer_model::FrozenModel;
 pub use zoomer_obs::CacheStats;

@@ -330,9 +330,7 @@ pub fn run_load<S: QueryService>(
     let delta = |name: &str| diff.counter(name).unwrap_or(0);
     // Each degraded batch counts exactly one realized brownout rung — once,
     // by the batch's owner, whatever the service's shard count — so the
-    // four rung counters sum without overlap. `serve.degraded.nprobe_capped`
-    // is a registered alias that mirrors every `budget_capped` increment, so
-    // adding it too would double-count capped batches.
+    // four rung counters sum without overlap.
     let degraded = delta("serve.degraded.fallback")
         + delta("serve.degraded.budget_capped")
         + delta("serve.degraded.topk_shrunk")
@@ -563,11 +561,10 @@ fn run_closed_loop<S: QueryService>(
 mod tests {
     use super::*;
     use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-    use crate::frozen::FrozenModel;
     use crate::server::ServingConfig;
     use zoomer_data::{TaobaoConfig, TaobaoData};
     use zoomer_graph::NodeId;
-    use zoomer_model::{ModelConfig, UnifiedCtrModel};
+    use zoomer_model::{FrozenModel, ModelConfig, UnifiedCtrModel};
     use zoomer_obs::MetricsRegistry;
 
     fn server_and_requests(metrics: bool) -> (OnlineServer, Vec<Query>) {

@@ -182,7 +182,7 @@ impl QuantizedIvf {
     }
 
     /// Re-aim the probe budget without rebuilding (floored at 1). The sweep
-    /// knob for recall/latency studies, like `ProximityGraph::set_beam_width`.
+    /// knob for recall/latency studies.
     pub fn set_nprobe(&mut self, nprobe: usize) {
         self.nprobe = nprobe.max(1);
     }

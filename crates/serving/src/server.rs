@@ -27,6 +27,7 @@ use rayon::prelude::*;
 use zoomer_graph::{
     shard_of_node, HeteroGraph, NodeId, NodeType, Query, Retrieval, ShardingConfig,
 };
+use zoomer_model::{neutral_topk_neighbors, FrozenModel};
 use zoomer_obs::{CacheStats, Counter, Histogram, MetricsRegistry, Snapshot, StageTimer};
 use zoomer_sampler::{FocalBiasedSampler, FocalContext, NeighborSampler};
 use zoomer_tensor::{seeded_rng, Matrix};
@@ -38,9 +39,7 @@ use crate::cache::NeighborCache;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::fault::{self, FaultInjector, FaultSite};
-use crate::frozen::{neutral_topk_neighbors, FrozenModel};
 use crate::inverted::InvertedIndex;
-use crate::proximity::ProximityGraph;
 use crate::quantized::QuantizedIvf;
 use crate::shard::RankShard;
 
@@ -66,19 +65,12 @@ pub struct ServingConfig {
     pub top_k: usize,
     /// Which retrieval backend the server probes — see
     /// [`crate::backend::SearchBackend`]. IVF-Flat (the default, the
-    /// paper's setup), the exact flat scan, or the relevance proximity
-    /// graph.
+    /// paper's setup), the exact flat scan, or the int8-quantized IVF.
     pub backend: BackendKind,
     /// IVF lists probed per query (IVF backend only).
     pub nprobe: usize,
     /// Coarse clusters in the ANN index (IVF backend only).
     pub nlist: usize,
-    /// Out-degree of the navigable neighbor graph (proximity backend only).
-    pub graph_degree: usize,
-    /// Beam width of the proximity-graph search (proximity backend only).
-    /// Plays the role `nprobe` plays for IVF: the recall/latency knob the
-    /// deadline ladder caps under pressure.
-    pub beam_width: usize,
     /// Shortlist widening for the quantized backend: the int8 scan keeps
     /// `rerank_factor × top_k` candidates per query, which the exact f32
     /// rerank then narrows back to `top_k`. Larger values recover more of
@@ -114,8 +106,6 @@ impl Default for ServingConfig {
             backend: BackendKind::Ivf,
             nprobe: 4,
             nlist: 32,
-            graph_degree: 12,
-            beam_width: 32,
             rerank_factor: crate::quantized::DEFAULT_RERANK_FACTOR,
             disable_cache: false,
             deadline: None,
@@ -146,11 +136,6 @@ impl ServingConfig {
         }
         if self.nprobe == 0 || self.nlist == 0 {
             return invalid("nprobe and nlist must be positive");
-        }
-        if self.backend == BackendKind::Proximity
-            && (self.graph_degree == 0 || self.beam_width == 0)
-        {
-            return invalid("graph_degree and beam_width must be positive");
         }
         if self.backend == BackendKind::Quantized && self.rerank_factor == 0 {
             return invalid("rerank_factor must be positive");
@@ -205,14 +190,9 @@ struct FrontMetrics {
     /// after admission).
     degraded_fallback: Counter,
     /// Batches whose retrieval probe was capped below the backend's
-    /// configured budget (`nprobe` for IVF, beam width for the proximity
-    /// graph): `serve.degraded.budget_capped`.
+    /// configured budget (`nprobe` lists for both IVF backends):
+    /// `serve.degraded.budget_capped`.
     degraded_budget: Counter,
-    /// Legacy alias for `degraded_budget`. The name predates multi-backend
-    /// serving (`serve.degraded.nprobe_capped`); it stays registered and
-    /// mirrors every increment so existing dashboards keep reading until
-    /// they migrate to the canonical name.
-    degraded_nprobe: Counter,
     /// Batches served at [`BrownoutRung::SkipWiden`]: the exact-rerank
     /// widening of under-full lists was skipped (`serve.degraded.skip_widen`).
     degraded_skip_widen: Counter,
@@ -231,7 +211,6 @@ impl FrontMetrics {
             deadline_exceeded: registry.counter("serve.deadline_exceeded"),
             degraded_fallback: registry.counter("serve.degraded.fallback"),
             degraded_budget: registry.counter("serve.degraded.budget_capped"),
-            degraded_nprobe: registry.counter("serve.degraded.nprobe_capped"),
             degraded_skip_widen: registry.counter("serve.degraded.skip_widen"),
             degraded_topk: registry.counter("serve.degraded.topk_shrunk"),
             stage_cache: registry.histogram("serve.stage.cache_resolve_ns"),
@@ -456,10 +435,7 @@ impl FrontHalf {
             BrownoutRung::Full => {}
             BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
             BrownoutRung::ShrinkTopK => m.degraded_topk.inc(),
-            BrownoutRung::CapBudget => {
-                m.degraded_budget.inc();
-                m.degraded_nprobe.inc();
-            }
+            BrownoutRung::CapBudget => m.degraded_budget.inc(),
             BrownoutRung::Fallback => m.degraded_fallback.add(requests as u64),
         }
     }
@@ -734,11 +710,6 @@ fn build_backend(
             config.rerank_factor,
         )),
         BackendKind::Exact => Backend::Exact(ExactSearch::build(&items)),
-        BackendKind::Proximity => Backend::Proximity(ProximityGraph::build(
-            &items,
-            config.graph_degree,
-            config.beam_width,
-        )),
     }
 }
 
@@ -906,7 +877,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(81));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let graph = Arc::new(
             zoomer_graph::read_snapshot(zoomer_graph::write_snapshot(&data.graph))
                 .expect("snapshot roundtrip"),
@@ -1079,7 +1050,6 @@ mod tests {
         let snap = bounded.metrics_snapshot();
         assert_eq!(snap.counter("serve.degraded.fallback"), Some(0));
         assert_eq!(snap.counter("serve.degraded.budget_capped"), Some(0));
-        assert_eq!(snap.counter("serve.degraded.nprobe_capped"), Some(0));
     }
 
     #[test]
@@ -1087,7 +1057,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(84));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let items = data.item_nodes();
         assert!(matches!(
             OnlineServer::builder()
@@ -1105,7 +1075,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(82));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let err = match OnlineServer::builder()
             .graph(Arc::new(data.graph))
             .frozen(frozen)
@@ -1124,7 +1094,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(83));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let items = data.item_nodes();
         let graph = Arc::new(data.graph);
         // No graph.
@@ -1139,7 +1109,7 @@ mod tests {
         ));
         // Degenerate config values are rejected at build, not at request time.
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &graph);
+        let frozen = FrozenModel::from_model(&mut model, &graph);
         assert!(matches!(
             OnlineServer::builder()
                 .graph(graph)
@@ -1257,13 +1227,11 @@ mod tests {
     }
 
     /// Fixture pieces for building a second server over the same data.
-    fn fixture(
-        seed: u64,
-    ) -> (TaobaoData, Arc<HeteroGraph>, crate::frozen::FrozenModel, Vec<NodeId>) {
+    fn fixture(seed: u64) -> (TaobaoData, Arc<HeteroGraph>, FrozenModel, Vec<NodeId>) {
         let data = TaobaoData::generate(TaobaoConfig::tiny(seed));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let graph = Arc::new(
             zoomer_graph::read_snapshot(zoomer_graph::write_snapshot(&data.graph))
                 .expect("snapshot roundtrip"),
@@ -1288,31 +1256,6 @@ mod tests {
             for &item in &row.items {
                 assert_eq!(data.graph.node_type(item), NodeType::Item, "request {i}");
             }
-            assert_eq!(
-                row.items,
-                one(&server, r.user, r.query).expect("serve"),
-                "request {i} diverges"
-            );
-        }
-    }
-
-    #[test]
-    fn proximity_backend_serves_topk_items() {
-        let (data, server) = build_server_cfg(ServingConfig {
-            top_k: 20,
-            backend: BackendKind::Proximity,
-            graph_degree: 8,
-            beam_width: 40,
-            ..Default::default()
-        });
-        assert_eq!(server.backend().kind(), BackendKind::Proximity);
-        let requests: Vec<Query> =
-            data.logs.iter().take(6).map(|l| Query::new(l.user, l.query)).collect();
-        let batched = server.handle_batch(&requests).expect("serve batch");
-        for (i, (r, row)) in requests.iter().zip(&batched).enumerate() {
-            assert_eq!(row.len(), 20);
-            let set: std::collections::HashSet<_> = row.items.iter().collect();
-            assert_eq!(set.len(), row.len(), "request {i} returned duplicates");
             assert_eq!(
                 row.items,
                 one(&server, r.user, r.query).expect("serve"),
@@ -1426,24 +1369,6 @@ mod tests {
             exact.handle_batch(&requests).expect("exact serve"),
             "full-probe IVF and the exact backend must serve identically"
         );
-    }
-
-    #[test]
-    fn proximity_backend_rejects_zero_graph_params() {
-        let (_, graph, frozen, items) = fixture(88);
-        assert!(matches!(
-            OnlineServer::builder()
-                .graph(graph)
-                .frozen(frozen)
-                .item_pool(&items)
-                .config(ServingConfig {
-                    backend: BackendKind::Proximity,
-                    graph_degree: 0,
-                    ..Default::default()
-                })
-                .build(),
-            Err(ServingError::InvalidConfig("graph_degree and beam_width must be positive"))
-        ));
     }
 
     #[test]

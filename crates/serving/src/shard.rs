@@ -152,8 +152,8 @@ impl RankShard {
             (BrownoutRung::CapBudget, false) => {
                 // Round-major with a between-rounds expiry check: a capped
                 // probe equals a plain probe at the backend's smaller budget
-                // (`nprobe` for IVF, beam width for the proximity graph),
-                // trading recall for latency.
+                // (`nprobe` for the IVF backends), trading recall for
+                // latency.
                 let bounded = self.timed(true, || {
                     self.backend.search_batch_deadline(uq, batch_k, deadline, &mut |_| {
                         self.fire_fault(FaultSite::AnnRound)
@@ -194,9 +194,8 @@ impl RankShard {
             let k = realized.shrunk_k(self.config.effective_top_k(q));
             f.truncate(k);
             if widen && f.len() < k && f.len() < self.backend.len() {
-                // Under-filled probe set (small pool, skewed clusters, or a
-                // narrow beam): widen to an exact scan rather than return a
-                // short list.
+                // Under-filled probe set (small pool or skewed clusters):
+                // widen to an exact scan rather than return a short list.
                 f = self.backend.exact_search(uq.row(i), k)?;
             }
             rows.push(ScoredRetrieval { items: f, degraded: realized != BrownoutRung::Full });

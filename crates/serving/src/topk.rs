@@ -1,10 +1,9 @@
 //! Shared top-k selection for every search backend.
 //!
 //! Every ranking in the crate — the IVF list scan, the quantized shortlist
-//! and rerank, the exact flat scan, the proximity beam's final pick, and the
-//! router's cross-shard merge — selects through [`TopK`], so a backend swap
-//! or a shard count can never change how a candidate set turns into a
-//! result list.
+//! and rerank, the exact flat scan, and the router's cross-shard merge —
+//! selects through [`TopK`], so a backend swap or a shard count can never
+//! change how a candidate set turns into a result list.
 //!
 //! **The rank order is total:** score descending, then id ascending, and a
 //! NaN score ranks below every number. A candidate set therefore has exactly

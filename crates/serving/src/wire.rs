@@ -401,6 +401,10 @@ impl WireClient {
 /// Default bound on concurrent handler threads per [`FrontDoor`].
 pub const DEFAULT_MAX_CONNS: usize = 1024;
 
+/// Read and write timeout on an over-cap connection: a dial that never
+/// sends (or never reads its rejection) frees its thread after this long.
+const REJECT_IO_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// The TCP front door: accepts connections, decodes request frames, runs
 /// per-tenant fair admission, scatters admitted queries through the
 /// [`ShardedServer`], and answers with response frames.
@@ -517,9 +521,12 @@ impl FrontDoor {
 /// rejection — every row [`ResponseStatus::Rejected`], no items — or an
 /// error frame if the frame is malformed, then drop the stream. The reply
 /// lets a well-behaved client distinguish "server full, back off" from a
-/// network failure.
+/// network failure. Reads and writes time out after [`REJECT_IO_TIMEOUT`],
+/// so a silent dial cannot hold the thread.
 fn reject_connection(mut stream: TcpStream) -> Result<(), WireError> {
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(REJECT_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(REJECT_IO_TIMEOUT))?;
     let Some(payload) = read_frame(&mut stream)? else { return Ok(()) };
     let reply = match decode_request(&payload) {
         Ok(request) => {

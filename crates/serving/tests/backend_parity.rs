@@ -7,15 +7,14 @@
 //!    bits match the pre-refactor `IvfIndex` entry points exactly, on the
 //!    plain batch path and the deadline path alike (proptest-pinned).
 //! 2. **Backend equivalence** — at recall=1 settings (IVF probing every
-//!    list, a pool-wide proximity beam) every backend agrees with the
-//!    `ExactSearch` oracle item-for-item, score-bit-for-score-bit.
+//!    list) every exact-scoring backend agrees with the `ExactSearch`
+//!    oracle item-for-item, score-bit-for-score-bit.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use zoomer_serving::{
-    Backend, BackendKind, Deadline, ExactSearch, IvfBackend, IvfIndex, ProximityGraph,
-    SearchBackend,
+    Backend, BackendKind, Deadline, ExactSearch, IvfBackend, IvfIndex, SearchBackend,
 };
 use zoomer_tensor::{seeded_rng, Matrix};
 
@@ -133,12 +132,10 @@ fn normalized(rows: &[Vec<(u64, f32)>]) -> Vec<Vec<(u64, u32)>> {
 fn all_backends_agree_with_the_exact_oracle_at_recall_one_settings() {
     let items = random_items(POOL, DIM, 902);
     let oracle = ExactSearch::build(&items);
-    // IVF probing every list is exact; a pool-wide beam visits the whole
-    // (connected-by-construction) graph, so it is exact too.
+    // IVF probing every list is exact.
     let backends: Vec<Backend> = vec![
         Backend::Ivf(IvfBackend::new(IvfIndex::build(&items, 10, 4, 902), POOL)),
         Backend::Exact(ExactSearch::build(&items)),
-        Backend::Proximity(ProximityGraph::build(&items, 8, POOL)),
     ];
     let queries = query_matrix(30, DIM, 903);
     for k in [1usize, 10, POOL] {
@@ -167,5 +164,5 @@ fn all_backends_agree_with_the_exact_oracle_at_recall_one_settings() {
 fn backend_kinds_report_their_names() {
     assert_eq!(BackendKind::Ivf.name(), "ivf");
     assert_eq!(BackendKind::Exact.name(), "exact");
-    assert_eq!(BackendKind::Proximity.name(), "proximity");
+    assert_eq!(BackendKind::Quantized.name(), "quantized");
 }

@@ -104,8 +104,8 @@ proptest! {
     }
 
     /// A multi-query IVF probe returns exactly each row's single-query
-    /// result, ids and scores bit-for-bit, at any batch size (including
-    /// ragged `dot4` blocks), `k` and `nprobe`.
+    /// result, ids and scores bit-for-bit, at any batch size, `k` and
+    /// `nprobe`.
     #[test]
     fn search_batch_rows_match_single_searches(
         n_queries in 1usize..48,

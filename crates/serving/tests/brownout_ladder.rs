@@ -59,7 +59,7 @@ fn server(backend: BackendKind) -> OnlineServer {
 fn servers() -> &'static [(BackendKind, OnlineServer)] {
     static SERVERS: OnceLock<Vec<(BackendKind, OnlineServer)>> = OnceLock::new();
     SERVERS.get_or_init(|| {
-        [BackendKind::Ivf, BackendKind::Proximity].into_iter().map(|b| (b, server(b))).collect()
+        [BackendKind::Ivf, BackendKind::Quantized].into_iter().map(|b| (b, server(b))).collect()
     })
 }
 
@@ -175,9 +175,8 @@ proptest! {
 }
 
 /// Each forced degraded rung moves exactly its own counter: one per batch
-/// for the model-path rungs (`budget_capped` mirrored by its registered
-/// `nprobe_capped` alias), one per request for the fallback, and nothing at
-/// all for a full-quality batch.
+/// for the model-path rungs, one per request for the fallback, and nothing
+/// at all for a full-quality batch.
 #[test]
 fn forced_rungs_count_exactly_their_own_counter() {
     // A private server: this test diffs counters, and tests in this binary
@@ -209,8 +208,5 @@ fn forced_rungs_count_exactly_their_own_counter() {
                 rung.name()
             );
         }
-        let alias = diff.counter("serve.degraded.nprobe_capped").unwrap_or(0);
-        let expect_alias = u64::from(rung == BrownoutRung::CapBudget);
-        assert_eq!(alias, expect_alias, "nprobe_capped alias after forced {}", rung.name());
     }
 }

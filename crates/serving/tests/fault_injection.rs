@@ -104,49 +104,8 @@ fn ann_round_spike_caps_the_probe_width() {
         Some(1),
         "overrunning the budget mid-probe must cap nprobe"
     );
-    assert_eq!(
-        snap.counter("serve.degraded.nprobe_capped"),
-        Some(1),
-        "the legacy alias must mirror the canonical cap counter"
-    );
     assert!(fault.injected(FaultSite::AnnRound) >= 1);
     assert!(fault.calls(FaultSite::AnnRound) < 4, "a capped probe must not have run all 4 rounds");
-}
-
-#[test]
-fn beam_rung_spike_caps_the_beam_width() {
-    // Same drill against the proximity-graph backend: its deadline probe
-    // climbs a beam-width ladder (4 → 8 → 16 → 32 for beam_width 32) and
-    // fires the AnnRound site at each rung. A 30ms delay per rung against a
-    // 5ms budget must stop the ladder after rung 0 and count the cap under
-    // the same degraded counter the IVF backend uses.
-    let fault = Arc::new(
-        FaultPlan::new(6).delay(FaultSite::AnnRound, 1, Duration::from_millis(30)).build(),
-    );
-    let config = ServingConfig {
-        top_k: 10,
-        backend: zoomer_serving::BackendKind::Proximity,
-        graph_degree: 8,
-        beam_width: 32,
-        deadline: Some(Duration::from_millis(5)),
-        ..Default::default()
-    };
-    let (data, server) = build_server(config, Some(Arc::clone(&fault)));
-    let out = server.handle_batch(&requests(&data, 2)).expect("capped batch still answers");
-    assert_eq!(out.len(), 2);
-    let snap = server.metrics_snapshot();
-    assert_eq!(
-        snap.counter("serve.degraded.budget_capped"),
-        Some(1),
-        "overrunning the budget mid-ladder must cap the beam"
-    );
-    assert_eq!(
-        snap.counter("serve.degraded.nprobe_capped"),
-        Some(1),
-        "the legacy alias must mirror the canonical cap counter"
-    );
-    assert!(fault.injected(FaultSite::AnnRound) >= 1);
-    assert!(fault.calls(FaultSite::AnnRound) < 4, "a capped ladder must not have run all 4 rungs");
 }
 
 #[test]
@@ -244,7 +203,6 @@ fn overload_with_deadline_sheds_and_metrics_round_trip() {
         "serve.deadline_exceeded",
         "serve.degraded.fallback",
         "serve.degraded.budget_capped",
-        "serve.degraded.nprobe_capped",
         "load.shed",
         "load.errors",
         "load.panics",

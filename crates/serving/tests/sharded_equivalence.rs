@@ -148,9 +148,7 @@ proptest! {
 /// Every backend kind agrees at N=1 on a fixed batch (ids and scores).
 #[test]
 fn n1_equivalence_holds_for_every_backend() {
-    for backend in
-        [BackendKind::Ivf, BackendKind::Exact, BackendKind::Proximity, BackendKind::Quantized]
-    {
+    for backend in [BackendKind::Ivf, BackendKind::Exact, BackendKind::Quantized] {
         let cfg = config(backend, 1);
         let single = builder(cfg).build().expect("single build");
         let sharded = ShardedServer::build(builder(cfg)).expect("sharded build");
@@ -299,13 +297,12 @@ fn partitioned_cache_serves_repeats_without_re_missing() {
 }
 
 /// The request/degraded counters a batch moves, in a fixed order.
-const BATCH_COUNTERS: [&str; 7] = [
+const BATCH_COUNTERS: [&str; 6] = [
     "serve.requests",
     "serve.batches",
     "serve.degraded.skip_widen",
     "serve.degraded.topk_shrunk",
     "serve.degraded.budget_capped",
-    "serve.degraded.nprobe_capped",
     "serve.degraded.fallback",
 ];
 
@@ -345,11 +342,11 @@ fn batch_counters_do_not_scale_with_shard_count() {
     for (what, deadline, site, stall, want) in [
         // An ANN-stage spike past the deadline: every shard answers from its
         // postings, and the fallback is counted once per *request*.
-        ("fallback", ms(5), FaultSite::AnnProbe, ms(20), [4, 1, 0, 0, 0, 0, 4]),
+        ("fallback", ms(5), FaultSite::AnnProbe, ms(20), [4, 1, 0, 0, 0, 4]),
         // A spike inside the first probe round, short of the gather grace:
         // every shard's round-major probe self-caps, and the cap is counted
-        // once per *batch* (with its legacy alias).
-        ("budget cap", ms(40), FaultSite::AnnRound, ms(80), [4, 1, 0, 0, 1, 1, 0]),
+        // once per *batch*.
+        ("budget cap", ms(40), FaultSite::AnnRound, ms(80), [4, 1, 0, 0, 1, 0]),
     ] {
         for num_shards in [0usize, 1, 2, 4] {
             assert_eq!(

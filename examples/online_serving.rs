@@ -113,40 +113,12 @@ fn main() {
         report.latency.p50_ms, report.latency.p99_ms
     );
 
-    // Retrieval is pluggable: the same builder can serve from the relevance
-    // proximity graph (beam search under the frozen relevance score) instead
-    // of the default IVF index — only the config line changes.
-    println!("\n== Proximity-graph backend ==");
-    let proximity = OnlineServer::builder()
-        .graph(Arc::clone(&graph))
-        .frozen(FrozenModel::from_model(pipeline.model_mut(), &graph))
-        .item_pool(&items)
-        .config(ServingConfig {
-            cache_k: 30,
-            top_k: 100,
-            backend: BackendKind::Proximity,
-            graph_degree: 12,
-            beam_width: 32,
-            ..Default::default()
-        })
-        .seed(seed)
-        .build()
-        .expect("serving build");
-    proximity.warm_cache(&warm).expect("warm cache");
-    let report = run_load(&proximity, &requests, &LoadTestSpec::open(1000.0).num_threads(4))
-        .expect("load run");
-    println!(
-        "backend {} | 1000 QPS: p50 {:.3} ms, p99 {:.3} ms",
-        proximity.backend().kind().name(),
-        report.latency.p50_ms,
-        report.latency.p99_ms
-    );
-
-    // Memory-tier serving: the quantized backend stores the scan-side item
-    // embeddings as int8 codes (4x smaller than f32), probes the same IVF
-    // lists, and re-ranks a `rerank_factor x top_k` shortlist with exact
-    // f32 dots — so recall matches the f32 index at equal nprobe while the
-    // store that dominates billion-tier memory shrinks 4x.
+    // Retrieval is pluggable: only the config line changes. The quantized
+    // backend stores the scan-side item embeddings as int8 codes (4x smaller
+    // than f32), probes the same IVF lists, and re-ranks a
+    // `rerank_factor x top_k` shortlist with exact f32 dots — so recall
+    // matches the f32 index at equal nprobe while the store that dominates
+    // billion-tier memory shrinks 4x.
     println!("\n== Int8-quantized backend ==");
     let quantized = OnlineServer::builder()
         .graph(Arc::clone(&graph))
