@@ -34,6 +34,9 @@ cargo test --workspace --offline -q --profile ci
 echo "== zoomer-serve loopback smoke (spawn, scatter a batch over TCP, assert merged top-k) =="
 cargo build --release --offline -q --bin zoomer-serve
 ./target/release/zoomer-serve --smoke --users 60 --items 120 --sessions 300 --shards 4
+# One shard is the all-inline tier: no worker thread, every batch ranked on
+# its connection's own thread.
+./target/release/zoomer-serve --smoke --users 60 --items 120 --sessions 300 --shards 1
 
 echo "== kernel bench (smoke mode: every kernel executes, baseline file untouched) =="
 ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench kernels

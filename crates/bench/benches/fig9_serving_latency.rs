@@ -95,8 +95,8 @@ fn main() {
         }
         println!(
             "cache entries: {}, hit rate: {:.1}%",
-            server.cache().len(),
-            server.cache().stats().hit_rate() * 100.0
+            server.shards().iter().map(|s| s.cache().len()).sum::<usize>(),
+            server.aggregated_cache_stats().hit_rate() * 100.0
         );
         if !disable_cache {
             per_request_peak = peak_achieved;

@@ -20,7 +20,7 @@ use zoomer_core::graph::ShardingConfig;
 use zoomer_core::model::{ModelConfig, UnifiedCtrModel};
 use zoomer_core::serving::{
     run_load, BackendKind, BrownoutRung, FrozenModel, LoadTestSpec, OnlineServer, Query,
-    ServingConfig, ShardedServer, ShedPolicy,
+    ServingConfig, ShedPolicy,
 };
 
 /// The four degraded-rung counter deltas (skip_widen, topk_shrunk,
@@ -161,14 +161,14 @@ fn main() {
     // counts {1, 2, 4, 8}. The sweep ranks through the exact backend at
     // batch 16: exact rank is O(pool / num_shards) per shard, so shard
     // count buys real parallel rank work, and batching amortizes the
-    // per-hop scatter cost. One shard pins the pure router overhead
-    // (results there are bit-identical to the un-sharded server, so any
-    // capacity gap is router cost alone). Router-side gather/merge timings
-    // land in `serve.router.*`; per-shard rank in `serve.shard.N.rank_ns`.
+    // per-hop scatter cost. One shard ranks on the calling thread with no
+    // hand-off at all; each shard after it adds a worker hop. Gather/merge
+    // timings land in `serve.router.*`; per-shard rank in
+    // `serve.shard.N.rank_ns`.
     //
     // Two columns tell the story on any machine: `req/s` is wall-clock
     // capacity, which only crosses over above the single-shard baseline
-    // when the host grants >= num_shards cores (shard workers are real
+    // when the host grants >= num_shards cores (shards 1..N rank on worker
     // threads); `rank p50/shard` is the per-shard rank-stage time, which
     // shrinks ~N-fold with shard count regardless of core count — the
     // quantity the scatter actually divides.
@@ -189,20 +189,19 @@ fn main() {
     );
     for num_shards in [1usize, 2, 4, 8] {
         let registry = Arc::new(zoomer_core::obs::MetricsRegistry::enabled());
-        let sharded = ShardedServer::build(
-            OnlineServer::builder()
-                .graph(Arc::clone(&graph))
-                .frozen(FrozenModel::from_model(&mut model, &graph))
-                .item_pool(&items)
-                .config(ServingConfig {
-                    backend: BackendKind::Exact,
-                    sharding: ShardingConfig { num_shards, replicas_per_shard: 2 },
-                    ..Default::default()
-                })
-                .seed(seed)
-                .metrics(Arc::clone(&registry)),
-        )
-        .expect("sharded build");
+        let sharded = OnlineServer::builder()
+            .graph(Arc::clone(&graph))
+            .frozen(FrozenModel::from_model(&mut model, &graph))
+            .item_pool(&items)
+            .config(ServingConfig {
+                backend: BackendKind::Exact,
+                sharding: ShardingConfig { num_shards, replicas_per_shard: 2 },
+                ..Default::default()
+            })
+            .seed(seed)
+            .metrics(Arc::clone(&registry))
+            .build()
+            .expect("sharded build");
         sharded.warm_cache(&warm).expect("warm cache");
         let probe: Vec<Query> = request_pool.iter().cycle().take(4_000).copied().collect();
         let spec = LoadTestSpec::closed().num_threads(threads).batch_size(16);

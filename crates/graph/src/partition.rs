@@ -13,9 +13,10 @@
 //! immutable `Arc<HeteroGraph>`, and replica selection is a relaxed scan
 //! of per-replica `AtomicU64` counters — no `Mutex`/`RwLock` anywhere in
 //! this module, so L006 (lock ordering) and L007 (blocking under a guard)
-//! have nothing to latch onto. Keep it that way: once `ShardedServer`
-//! multiplies this surface across N shards, any lock added here becomes
-//! N-way scatter-gather lock traffic on the request path.
+//! have nothing to latch onto. Keep it that way: the serving crate's
+//! `OnlineServer` multiplies this surface across N shards, so any lock
+//! added here becomes N-way scatter-gather lock traffic on the request
+//! path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +26,11 @@ use crate::types::{EdgeType, HeteroGraph, NodeId};
 /// Sharding parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardingConfig {
+    /// Node-id partitions: graph shards here, item-pool shards in serving.
     pub num_shards: usize,
+    /// Logical replicas of every shard in a [`ShardedGraph`]. In the
+    /// serving crate's `OnlineServer`: worker threads for each shard after
+    /// shard 0, which ranks on the calling thread instead.
     pub replicas_per_shard: usize,
 }
 
@@ -47,7 +52,7 @@ impl ShardingConfig {
 ///
 /// Fibonacci hashing spreads consecutive ids across shards. This is the one
 /// routing function the whole system shares: [`ShardedGraph::shard_of`]
-/// delegates here, and the serving-side `ShardedServer` partitions its item
+/// delegates here, and the serving-side `OnlineServer` partitions its item
 /// pool with the same arithmetic so graph storage and retrieval agree on
 /// ownership.
 #[inline]

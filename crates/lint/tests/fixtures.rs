@@ -682,9 +682,9 @@ fn baseline_warns_on_stale_entries() {
 fn partition_routing_path_stays_lock_free() {
     // `crates/graph/src/partition.rs` promises in its header that the
     // routing path is lock-free (pure arithmetic + relaxed atomics), and
-    // `ShardedServer` multiplies that surface across N shards. Pin the
-    // contract: the real file's extracted facts must contain zero lock
-    // acquisitions and no guard-returning functions.
+    // the sharded `OnlineServer` multiplies that surface across N shards.
+    // Pin the contract: the real file's extracted facts must contain zero
+    // lock acquisitions and no guard-returning functions.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = "crates/graph/src/partition.rs";
     let src = std::fs::read_to_string(root.join(path)).expect("partition.rs must exist");

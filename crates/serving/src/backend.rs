@@ -2,10 +2,11 @@
 //!
 //! The paper's ROI retrieval (IVF inverted lists over frozen-tower
 //! embeddings) is one point in a family of ANN strategies.
-//! [`SearchBackend`] captures the full contract
-//! [`crate::OnlineServer`] uses — the batched probe, the deadline-bounded
-//! probe with budget capping, the exact widening scan, and the obs hook — so
-//! the server, degraded-mode ladder, and benches are backend-agnostic.
+//! [`SearchBackend`] captures the full contract every
+//! [`crate::RankShard`] of an [`crate::OnlineServer`] probes through — the
+//! batched probe, the deadline-bounded probe with budget capping, the exact
+//! widening scan, and the obs hook — so the server, degraded-mode ladder,
+//! and benches are backend-agnostic.
 //!
 //! Three implementations:
 //! - [`crate::IvfIndex`] via [`IvfBackend`] — the paper's IVF-Flat path,
@@ -30,8 +31,8 @@ use crate::error::ServingError;
 use crate::quantized::QuantizedIvf;
 use crate::topk::TopK;
 
-/// Which retrieval backend an [`crate::OnlineServer`] builds and serves
-/// from; selected by `ServingConfig::backend`.
+/// Which retrieval backend each shard of an [`crate::OnlineServer`] builds
+/// and serves from; selected by `ServingConfig::backend`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
     /// IVF-Flat inverted lists (the paper's ANN module). Budget: `nprobe`.

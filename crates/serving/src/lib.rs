@@ -24,16 +24,17 @@
 //! - [`FrozenModel`] (from `zoomer_model`) — the thread-safe, tape-free
 //!   snapshot of a trained model used on the serving path (edge attention
 //!   only).
-//! - [`server`] / [`shard`] / [`sharded`] — the one request path, cut at one
-//!   seam. The *front half* (`server`: validate → deadline admission →
-//!   counters → partitioned neighbor-cache resolve → one stacked embed) is
-//!   the only code that touches the graph, the frozen towers and the
-//!   caches; a [`RankShard`] (`shard`: backend + posting partition + cache
-//!   partition + probe-cost EWMA) is the only code that probes, walks the
-//!   brownout ladder, or builds fallback rows. [`OnlineServer`] is the
-//!   front half plus one shard called inline; [`ShardedServer`] is the same
-//!   front half plus N shards behind worker channels and a score merge
-//!   ([`router`]). Which of the two runs is the type the caller built.
+//! - [`server`] / [`shard`] / [`sharded`] — the one server type,
+//!   [`OnlineServer`], and its request path, cut at one seam. The *front
+//!   half* (`server`: validate → deadline admission → counters →
+//!   partitioned neighbor-cache resolve → one stacked embed) is the only
+//!   code that touches the graph, the frozen towers and the caches; a
+//!   [`RankShard`] (`shard`: backend, posting partition, cache partition
+//!   and probe-cost EWMA) is the only code that probes, walks the brownout
+//!   ladder, or builds fallback rows. Shard 0 ranks on the calling thread;
+//!   shards 1..N rank on their worker threads (`sharded`), or on the
+//!   calling thread when no worker has started them yet, and the replies
+//!   merge by score ([`router`]). At one shard no worker exists.
 //! - [`load`] — the unified open-/closed-loop QPS/latency harness (Fig 9):
 //!   one [`run_load`] entry point driven by a [`LoadTestSpec`], reporting
 //!   per-stage percentile breakdowns through the metrics registry, with a
@@ -82,8 +83,7 @@ pub use error::ServingError;
 pub use fault::{FaultInjector, FaultPlan, FaultSite};
 pub use inverted::InvertedIndex;
 pub use load::{
-    run_load, Arrival, LatencySummary, LoadReport, LoadTestSpec, QueryService, ShedPolicy,
-    StageSummary,
+    run_load, Arrival, LatencySummary, LoadReport, LoadTestSpec, ShedPolicy, StageSummary,
 };
 pub use quantized::{QuantMemory, QuantizedIvf, DEFAULT_RERANK_FACTOR};
 pub use router::TenantFairGate;

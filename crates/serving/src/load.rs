@@ -15,6 +15,10 @@
 //!   batch as soon as the previous one returns, measuring peak sustainable
 //!   throughput at a given batch size (the Fig 9 batched series).
 //!
+//! Every thread drives the one [`OnlineServer`] it is handed by reference,
+//! so its shards' worker pools are never multiplied per load thread; shard
+//! 0 ranks on whichever harness thread issued the batch.
+//!
 //! Every run returns a [`LoadReport`]: end-to-end latency percentiles plus
 //! the per-stage (cache resolve / embed / ANN probe / rank) percentile
 //! breakdown and cache hit accounting, extracted from the server's metrics
@@ -39,47 +43,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, TrySendError};
-use zoomer_graph::{Query, Retrieval};
-use zoomer_obs::{CacheStats, MetricsRegistry, Snapshot};
+use zoomer_graph::Query;
+use zoomer_obs::CacheStats;
 
 use crate::error::ServingError;
 use crate::server::OnlineServer;
-
-/// Anything the load harness can drive: a single [`OnlineServer`] or the
-/// scatter-gather [`crate::sharded::ShardedServer`], behind one batch entry
-/// point plus the observability hooks the report diffs around the run.
-///
-/// `Sync` because the harness shares one service reference across its worker
-/// threads (no per-worker clone: a sharded service owns worker pools of its
-/// own, and cloning those per load thread would multiply them).
-pub trait QueryService: Sync {
-    /// Serve one batch; semantics of [`OnlineServer::handle_batch`].
-    fn serve_batch(&self, queries: &[Query]) -> Result<Vec<Retrieval>, ServingError>;
-    /// The registry the service reports into.
-    fn metrics_registry(&self) -> &Arc<MetricsRegistry>;
-    /// Point-in-time snapshot of that registry (cache counters ingested).
-    fn metrics_snapshot(&self) -> Snapshot;
-    /// Aggregate neighbor-cache counters across the service.
-    fn cache_stats(&self) -> CacheStats;
-}
-
-impl QueryService for OnlineServer {
-    fn serve_batch(&self, queries: &[Query]) -> Result<Vec<Retrieval>, ServingError> {
-        self.handle_batch(queries)
-    }
-
-    fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        OnlineServer::metrics_registry(self)
-    }
-
-    fn metrics_snapshot(&self) -> Snapshot {
-        OnlineServer::metrics_snapshot(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-}
 
 /// How requests are offered to the server.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -310,15 +278,15 @@ struct DriverOutcome {
 /// Run one load test described by `spec` and report end-to-end latency plus
 /// the per-stage percentile breakdown for exactly this run.
 ///
-/// Generic over [`QueryService`]: the same harness drives a single
-/// [`OnlineServer`] or a [`crate::sharded::ShardedServer`] front door.
-pub fn run_load<S: QueryService>(
-    server: &S,
+/// One server reference is shared across the harness's threads (no
+/// per-thread clone: the server owns the worker pools of its shards 1..N).
+pub fn run_load(
+    server: &OnlineServer,
     requests: &[Query],
     spec: &LoadTestSpec,
 ) -> Result<LoadReport, ServingError> {
     spec.validate(requests)?;
-    let cache_before = server.cache_stats();
+    let cache_before = server.aggregated_cache_stats();
     let metrics_before = server.metrics_snapshot();
     let start = Instant::now();
     let outcome = match spec.arrival {
@@ -355,7 +323,7 @@ pub fn run_load<S: QueryService>(
         elapsed,
         latency: LatencySummary::from_latencies(outcome.lat_ms),
         stages: extract_stages(&diff),
-        cache: server.cache_stats().since(&cache_before),
+        cache: server.aggregated_cache_stats().since(&cache_before),
     })
 }
 
@@ -390,8 +358,8 @@ fn extract_stages(diff: &zoomer_obs::Snapshot) -> Vec<StageSummary> {
 /// With a bound, a full queue sheds per [`ShedPolicy`] instead of blocking
 /// the arrival schedule (an open-loop generator that blocks stops being
 /// open-loop: queueing delay would silently throttle the offered rate).
-fn run_open_loop<S: QueryService>(
-    server: &S,
+fn run_open_loop(
+    server: &OnlineServer,
     requests: &[Query],
     qps: f64,
     spec: &LoadTestSpec,
@@ -432,7 +400,7 @@ fn run_open_loop<S: QueryService>(
                     // A failed batch is its requests' problem, not the
                     // harness's: the worker tallies it (error or contained
                     // panic), records no latency for it, and keeps draining.
-                    match catch_unwind(AssertUnwindSafe(|| server.serve_batch(&batch))) {
+                    match catch_unwind(AssertUnwindSafe(|| server.handle_batch(&batch))) {
                         Ok(Ok(_)) => {
                             let done = Instant::now();
                             let mut lat = latencies.lock();
@@ -504,8 +472,8 @@ fn run_open_loop<S: QueryService>(
 /// request is charged its whole batch's service time. Failed batches (error
 /// or contained panic) are tallied and skipped, not aborted on: a load test
 /// that dies at the first bad request cannot measure overload.
-fn run_closed_loop<S: QueryService>(
-    server: &S,
+fn run_closed_loop(
+    server: &OnlineServer,
     requests: &[Query],
     spec: &LoadTestSpec,
 ) -> DriverOutcome {
@@ -521,7 +489,7 @@ fn run_closed_loop<S: QueryService>(
                     let mut panics = 0usize;
                     for chunk in share.chunks(spec.batch_size) {
                         let t0 = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| server.serve_batch(chunk))) {
+                        match catch_unwind(AssertUnwindSafe(|| server.handle_batch(chunk))) {
                             Ok(Ok(_)) => {
                                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                                 lats.extend(std::iter::repeat_n(ms, chunk.len()));

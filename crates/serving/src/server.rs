@@ -1,23 +1,23 @@
 //! The online retrieval server: request → focal → cached neighbors →
 //! online embedding → ANN lookup → ranked item ids.
 //!
-//! The request path is one sequence cut at one seam. The **front half**
-//! (`FrontHalf`) validates the batch, admits it under its deadline, counts
-//! it, resolves every node's neighborhood through the partitioned neighbor
-//! cache under one lock round per partition, and runs the frozen towers as
-//! one stacked matmul per layer — it is the only code that touches the
-//! graph, the towers, or the caches. The **rank half**
-//! ([`RankShard`]) probes one item-pool partition
-//! against those embeddings. [`OnlineServer`] is the front half plus one
-//! rank shard called inline; [`ShardedServer`](crate::sharded::ShardedServer)
-//! is the same front half plus N shards behind worker channels. A single
-//! request is a batch of one through the same path.
+//! One server type, [`OnlineServer`], whose request path is cut at one
+//! seam. The **front half** (this file) validates the batch, admits it
+//! under its deadline, counts it, resolves every node's neighborhood
+//! through the partitioned neighbor cache under one lock round per
+//! partition, and runs the frozen towers as one stacked matmul per layer —
+//! it is the only code that touches the graph, the towers, or the caches.
+//! The **rank half** is one [`RankShard`] per item-pool partition, each
+//! probing its partition against those embeddings: shard 0 on the calling
+//! thread, shards 1..N on their worker threads unless the caller gets to
+//! them first ([`crate::sharded`]), and the replies merge by score. At N = 1 the whole batch runs on the
+//! calling thread. A single request is a batch of one through the same
+//! path.
 //!
-//! Under a bounded deadline the batch serves at a
-//! [`BrownoutRung`] chosen from the
-//! remaining budget — full quality, skip-widening, shrunk top-k, capped
-//! probe, or inverted-index fallback. The shard reports the rung it
-//! realized; the batch's owner counts it under `serve.degraded.*`, once.
+//! Under a bounded deadline the batch serves at a [`BrownoutRung`] chosen
+//! from the remaining budget — full quality, skip-widening, shrunk top-k,
+//! capped probe, or posting-list fallback. Each shard reports the rung it
+//! realized; the server counts the worst under `serve.degraded.*`, once.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -41,7 +41,9 @@ use crate::error::ServingError;
 use crate::fault::{self, FaultInjector, FaultSite};
 use crate::inverted::InvertedIndex;
 use crate::quantized::QuantizedIvf;
-use crate::shard::RankShard;
+use crate::router::merge_query;
+use crate::shard::{RankShard, Ranked};
+use crate::sharded::ShardSet;
 
 /// A request's resolved (user-neighborhood, query-neighborhood) pair, shared
 /// with the cache without copying.
@@ -85,16 +87,15 @@ pub struct ServingConfig {
     /// With a budget: an already-expired batch is rejected at admission
     /// ([`ServingError::DeadlineExceeded`]); past admission the server
     /// degrades instead of erroring — it caps the ANN probe mid-flight and
-    /// falls back to inverted-index-only retrieval when the budget is spent,
+    /// falls back to posting-list-only retrieval when the budget is spent,
     /// counting `serve.degraded.*`.
     pub deadline: Option<Duration>,
     /// Neighbor-cache entry bound (second-chance eviction beyond it).
     pub cache_capacity: usize,
-    /// Shard/replica layout for [`crate::sharded::ShardedServer`]: how many
-    /// scatter-gather shards the item pool splits into and how many worker
-    /// threads drain each shard's queue. A plain [`OnlineServer`] ignores it;
-    /// the default is the degenerate 1×1 layout, so an un-sharded config is
-    /// bit-identical to the pre-sharding server.
+    /// Shard layout: how many item-pool shards the server splits into, and
+    /// how many worker threads drain the queue of each shard after shard 0
+    /// (shard 0 ranks on the calling thread). The default 1×1 layout serves
+    /// every batch on the calling thread, with no worker at all.
     pub sharding: ShardingConfig,
 }
 
@@ -171,22 +172,17 @@ impl ScoredRetrieval {
     }
 }
 
-/// Drop every row's scores ([`ScoredRetrieval::into_retrieval`]).
-pub(crate) fn into_retrievals(rows: Vec<ScoredRetrieval>) -> Vec<Retrieval> {
-    rows.into_iter().map(ScoredRetrieval::into_retrieval).collect()
-}
-
-/// Pre-registered metric handles for everything a batch's owner counts.
-/// Built once at server construction (the only time the registry lock is
-/// taken); recording is relaxed atomics through these handles, and no-ops
-/// down to one relaxed load per stage while the registry is disabled.
+/// Pre-registered metric handles for everything the server counts per
+/// batch. Built once at server construction (the only time the registry
+/// lock is taken); recording is relaxed atomics through these handles, and
+/// no-ops down to one relaxed load per stage while the registry is disabled.
 struct FrontMetrics {
     registry: Arc<MetricsRegistry>,
     requests: Counter,
     batches: Counter,
     /// Batches rejected at admission with an already-spent budget.
     deadline_exceeded: Counter,
-    /// Requests answered from the inverted-index fallback (budget spent
+    /// Requests answered from the posting-list fallback (budget spent
     /// after admission).
     degraded_fallback: Counter,
     /// Batches whose retrieval probe was capped below the backend's
@@ -201,6 +197,8 @@ struct FrontMetrics {
     degraded_topk: Counter,
     stage_cache: Histogram,
     stage_embed: Histogram,
+    /// Per-shard top-k merge, wall time per batch.
+    merge_ns: Histogram,
 }
 
 impl FrontMetrics {
@@ -215,243 +213,10 @@ impl FrontMetrics {
             degraded_topk: registry.counter("serve.degraded.topk_shrunk"),
             stage_cache: registry.histogram("serve.stage.cache_resolve_ns"),
             stage_embed: registry.histogram("serve.stage.embed_ns"),
+            merge_ns: registry.histogram("serve.router.merge_ns"),
             registry,
         }
     }
-}
-
-/// The front half of the request path — validate → deadline admission →
-/// request/batch counters → partition-aware neighbor resolve → one stacked
-/// embed — plus the per-batch degraded accounting. Shared verbatim by
-/// [`OnlineServer`] and [`ShardedServer`](crate::sharded::ShardedServer):
-/// every method that needs the caches takes the owner's shard slice, and a
-/// single cache is just its `N = 1` partition.
-pub(crate) struct FrontHalf {
-    graph: Arc<HeteroGraph>,
-    frozen: Arc<FrozenModel>,
-    config: ServingConfig,
-    sampler: FocalBiasedSampler,
-    /// Deterministic fault injector (tests/harnesses only); `None` in
-    /// production.
-    fault: Option<Arc<FaultInjector>>,
-    metrics: FrontMetrics,
-}
-
-impl FrontHalf {
-    pub(crate) fn graph(&self) -> &HeteroGraph {
-        &self.graph
-    }
-
-    pub(crate) fn config(&self) -> ServingConfig {
-        self.config
-    }
-
-    pub(crate) fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
-    }
-
-    /// Point-in-time snapshot of every metric, with the cache partitions'
-    /// summed counters ingested first so hits/misses/refreshes appear next
-    /// to the stage timings.
-    pub(crate) fn metrics_snapshot(&self, shards: &[Arc<RankShard>]) -> Snapshot {
-        self.metrics.registry.ingest_cache("cache", cache_stats(shards));
-        self.metrics.registry.snapshot()
-    }
-
-    /// Reject any request node id outside the loaded graph before it can
-    /// reach code that indexes adjacency or feature arrays.
-    fn validate_nodes(&self, nodes: impl IntoIterator<Item = NodeId>) -> Result<(), ServingError> {
-        let num_nodes = self.graph.num_nodes();
-        for node in nodes {
-            if node as usize >= num_nodes {
-                return Err(ServingError::NodeOutOfRange { node, num_nodes });
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the front half over a non-empty batch: `Ok(Some(uq))` is the
-    /// stacked request embeddings, ready to rank; `Ok(None)` means the batch
-    /// was admitted but its budget ran out before the embed, so the caller
-    /// answers from its shards' fallback rows.
-    ///
-    /// A malformed request (a node id outside the graph, a `top_k` past
-    /// [`MAX_TOP_K`]) or a budget already spent at admission is an `Err`
-    /// for this batch only; nothing has been counted or cached, and the
-    /// server keeps serving subsequent batches. Once admitted the batch
-    /// always produces a response.
-    pub(crate) fn prepare(
-        &self,
-        shards: &[Arc<RankShard>],
-        queries: &[Query],
-        deadline: &Deadline,
-    ) -> Result<Option<Matrix>, ServingError> {
-        self.validate_nodes(queries.iter().flat_map(|r| [r.user, r.query]))?;
-        if let Some(top_k) = queries.iter().map(|q| q.top_k).find(|&k| k > MAX_TOP_K) {
-            return Err(ServingError::TopKOutOfRange { top_k, max: MAX_TOP_K });
-        }
-        let m = &self.metrics;
-        if deadline.expired() {
-            m.deadline_exceeded.inc();
-            return Err(ServingError::DeadlineExceeded { stage: "admission" });
-        }
-        m.batches.inc();
-        m.requests.add(queries.len() as u64);
-
-        fault::fire(&self.fault, FaultSite::CacheResolve);
-        let t = StageTimer::start(&m.stage_cache);
-        let neighbors = self.resolve_neighbors(shards, queries)?;
-        t.stop();
-        if deadline.expired() {
-            return Ok(None);
-        }
-
-        fault::fire(&self.fault, FaultSite::Embed);
-        let t = StageTimer::start(&m.stage_embed);
-        let neighbor_slices: Vec<(&[NodeId], &[NodeId])> =
-            neighbors.iter().map(|(u, q)| (u.as_slice(), q.as_slice())).collect();
-        let uq = self.frozen.embed_requests(&self.graph, queries, &neighbor_slices);
-        t.stop();
-        Ok(Some(uq))
-    }
-
-    /// Resolve the user/query neighborhoods for a whole batch.
-    ///
-    /// Cached path: the miss sweep below, then a per-request lookup.
-    /// `disable_cache` (ablation) samples fresh per request under the
-    /// request's own focal context, like the paper's no-cache variant, and
-    /// touches no shard state.
-    fn resolve_neighbors(
-        &self,
-        shards: &[Arc<RankShard>],
-        queries: &[Query],
-    ) -> Result<Vec<NeighborPair>, ServingError> {
-        if self.config.disable_cache {
-            return Ok(queries
-                .iter()
-                .map(|r| {
-                    let (u, q) = r.pair();
-                    let ctx = FocalContext::for_request(&self.graph, u, q);
-                    let sample = |n: NodeId| {
-                        let mut rng = seeded_rng(n as u64);
-                        let mut fresh = self.sampler.sample(
-                            &self.graph,
-                            n,
-                            &ctx,
-                            self.config.cache_k,
-                            &mut rng,
-                        );
-                        fresh.truncate(self.config.cache_k);
-                        Arc::new(fresh)
-                    };
-                    (sample(u), sample(q))
-                })
-                .collect());
-        }
-        let nodes = queries.iter().flat_map(|r| [r.user, r.query]);
-        let resolved = self.fill_misses(shards, nodes, |missing| {
-            missing.iter().map(|&n| (n, self.neighborhood(n))).collect()
-        });
-        let get = |n: NodeId| {
-            resolved
-                .get(&n)
-                .map(Arc::clone)
-                .ok_or(ServingError::Internal("cache sweep lost a node"))
-        };
-        queries.iter().map(|r| Ok((get(r.user)?, get(r.query)?))).collect()
-    }
-
-    /// A cache entry: the node's neutral-focal top-k
-    /// ([`neutral_topk_neighbors`] — the same definition offline eval uses),
-    /// so an entry never depends on which request, which shard count, or
-    /// which of warm-up and serving happened to materialize it.
-    fn neighborhood(&self, n: NodeId) -> Vec<NodeId> {
-        neutral_topk_neighbors(&self.graph, n, self.config.cache_k)
-    }
-
-    /// The one cache sweep: route each distinct node to the partition that
-    /// owns it ([`shard_of_node`]), read every partition under one
-    /// `get_many` lock round, compute each partition's misses through
-    /// `compute` ([`Self::neighborhood`] per node — serially on the request
-    /// path, in parallel only from the set-up caller), install them under one
-    /// `insert_many` write. Returns every requested node's entry.
-    fn fill_misses(
-        &self,
-        shards: &[Arc<RankShard>],
-        nodes: impl IntoIterator<Item = NodeId>,
-        compute: impl Fn(&[NodeId]) -> Vec<(NodeId, Vec<NodeId>)>,
-    ) -> HashMap<NodeId, Arc<Vec<NodeId>>> {
-        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
-        let mut seen = HashSet::new();
-        for n in nodes {
-            if seen.insert(n) {
-                by_shard[shard_of_node(n, shards.len())].push(n);
-            }
-        }
-        let mut resolved = HashMap::with_capacity(seen.len());
-        for (shard, owned) in shards.iter().zip(&by_shard) {
-            if owned.is_empty() {
-                continue;
-            }
-            let found = shard.cache().get_many(owned);
-            let missing: Vec<NodeId> =
-                owned.iter().zip(&found).filter(|(_, f)| f.is_none()).map(|(&n, _)| n).collect();
-            let inserted = shard.cache().insert_many(compute(&missing));
-            resolved.extend(missing.into_iter().zip(inserted));
-            resolved.extend(owned.iter().zip(found).filter_map(|(&n, hit)| Some((n, hit?))));
-        }
-        resolved
-    }
-
-    /// Warm the cache partitions for a set of nodes (deployment pre-fill):
-    /// each node lands only in its owning partition, through the same sweep
-    /// the request path runs on a miss — so pre-warmed and cold-started
-    /// servers serve identical results. A set-up call, so its misses are
-    /// computed in parallel.
-    pub(crate) fn warm_cache(
-        &self,
-        shards: &[Arc<RankShard>],
-        nodes: &[NodeId],
-    ) -> Result<(), ServingError> {
-        if self.config.disable_cache {
-            return Ok(());
-        }
-        self.validate_nodes(nodes.iter().copied())?;
-        self.fill_misses(shards, nodes.iter().copied(), |missing| {
-            missing.par_iter().map(|&n| (n, self.neighborhood(n))).collect()
-        });
-        Ok(())
-    }
-
-    /// Count how one served batch degraded: exactly one `serve.degraded.*`
-    /// counter, named for the *worst* rung any of its shards realized — one
-    /// per batch for the model-path rungs, one per request for the
-    /// fallback, nothing for a full-quality batch. Called by the batch's
-    /// owner, never by a shard, so the family partitions degraded batches
-    /// identically at every shard count.
-    pub(crate) fn count_degraded(&self, realized: BrownoutRung, requests: usize) {
-        let m = &self.metrics;
-        match realized {
-            BrownoutRung::Full => {}
-            BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
-            BrownoutRung::ShrinkTopK => m.degraded_topk.inc(),
-            BrownoutRung::CapBudget => m.degraded_budget.inc(),
-            BrownoutRung::Fallback => m.degraded_fallback.add(requests as u64),
-        }
-    }
-}
-
-/// Neighbor-cache counters summed across every shard's partition.
-pub(crate) fn cache_stats(shards: &[Arc<RankShard>]) -> CacheStats {
-    let mut total = CacheStats::default();
-    for shard in shards {
-        let s = shard.cache().stats();
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.refreshes += s.refreshes;
-        total.evictions += s.evictions;
-    }
-    total
 }
 
 /// Step-by-step construction of an [`OnlineServer`] — the supported way to
@@ -474,7 +239,7 @@ pub struct ServerBuilder {
     graph_bytes: Option<bytes::Bytes>,
     frozen: Option<FrozenModel>,
     item_pool: Vec<NodeId>,
-    pub(crate) config: ServingConfig,
+    config: ServingConfig,
     seed: u64,
     metrics: Option<Arc<MetricsRegistry>>,
     fault: Option<Arc<FaultInjector>>,
@@ -539,28 +304,16 @@ impl ServerBuilder {
         self
     }
 
-    /// Validate the inputs and build a single-shard server (§VI's
-    /// offline-to-online hand-off); [`ServingConfig::sharding`] is checked
-    /// but not acted on.
+    /// Validate the inputs and stand the server up (§VI's offline-to-online
+    /// hand-off): resolve the graph and the towers, partition the item pool
+    /// by [`shard_of_node`] into [`ServingConfig::sharding`]'s shard count,
+    /// and build one [`RankShard`] per partition — backend over the
+    /// partition's item-tower embeddings, postings ranked against it,
+    /// `cache_capacity / num_shards` cache entries — then start
+    /// `replicas_per_shard` workers for every shard after shard 0.
+    /// Everything that depends on the graph alone (the snapshot decode,
+    /// each query's base embedding) happens once, whatever the shard count.
     pub fn build(self) -> Result<OnlineServer, ServingError> {
-        let (front, mut shards) = self.assemble(1)?;
-        let shard = shards.pop().ok_or(ServingError::Internal("build produced no shard"))?;
-        Ok(OnlineServer { front: Arc::new(front), shard })
-    }
-
-    /// The one build path behind [`ServerBuilder::build`] and
-    /// [`ShardedServer::build`](crate::sharded::ShardedServer::build):
-    /// resolve the graph and the towers, validate, partition the item pool
-    /// by [`shard_of_node`], and stand one [`RankShard`] up per partition —
-    /// backend over the partition's item-tower embeddings, postings ranked
-    /// against it, `cache_capacity / num_shards` cache entries. Everything
-    /// that depends on the graph alone (the snapshot decode, each query's
-    /// base embedding, the term layer) happens once, whatever the shard
-    /// count.
-    pub(crate) fn assemble(
-        self,
-        num_shards: usize,
-    ) -> Result<(FrontHalf, Vec<Arc<RankShard>>), ServingError> {
         let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         // An in-process handle wins; otherwise decode the snapshot bytes
         // here, timing the decode (the v2 format makes this a section-table
@@ -579,10 +332,9 @@ impl ServerBuilder {
                 return Err(ServingError::InvalidConfig("server builder needs a graph"))
             }
         };
-        let frozen = Arc::new(
-            self.frozen
-                .ok_or(ServingError::InvalidConfig("server builder needs a frozen model"))?,
-        );
+        let frozen = self
+            .frozen
+            .ok_or(ServingError::InvalidConfig("server builder needs a frozen model"))?;
         let config = self.config;
         config.validate()?;
         if self.item_pool.is_empty() {
@@ -594,6 +346,7 @@ impl ServerBuilder {
         }
         // Every shard must own at least one item or its backend would be
         // un-buildable.
+        let num_shards = config.sharding.num_shards;
         let mut pools: Vec<Vec<NodeId>> = vec![Vec::new(); num_shards];
         for &item in &self.item_pool {
             pools[shard_of_node(item, num_shards)].push(item);
@@ -606,13 +359,13 @@ impl ServerBuilder {
         let mut backends: Vec<Backend> =
             pools.iter().map(|pool| build_backend(&frozen, pool, &config, self.seed)).collect();
 
-        // Second retrieval layer: per-query postings ranked by the frozen
-        // item tower against the query's own online embedding (with no
-        // cached neighborhood that embedding is the query's base vector).
-        // Queries are chunked into batched probes and the chunks run in
-        // parallel; each chunk is embedded once and ranked against every
-        // partition. This ranking is offline, so the backend may afford a
-        // wider budget than the serving path (`offline_rank_batch`).
+        // Per-query postings ranked by the frozen item tower against the
+        // query's own online embedding (with no cached neighborhood that
+        // embedding is the query's base vector). Queries are chunked into
+        // batched probes and the chunks run in parallel; each chunk is
+        // embedded once and ranked against every partition. This ranking is
+        // offline, so the backend may afford a wider budget than the
+        // serving path (`offline_rank_batch`).
         let queries: Vec<NodeId> = graph.nodes_of_type(NodeType::Query);
         let chunks: Vec<&[NodeId]> = queries.chunks(64).collect();
         let ranked: Vec<Result<Vec<QueryPostings>, ServingError>> = chunks
@@ -637,12 +390,11 @@ impl ServerBuilder {
                     .collect()
             })
             .collect();
-        let terms = InvertedIndex::new(&graph);
-        let mut inverted: Vec<InvertedIndex> =
-            backends.iter().map(|_| terms.sharing_terms()).collect();
+        let mut postings: Vec<InvertedIndex> =
+            backends.iter().map(|_| InvertedIndex::default()).collect();
         for chunk_postings in ranked {
-            for (index, postings) in inverted.iter_mut().zip(chunk_postings?) {
-                for (q, ranked) in postings {
+            for (index, chunk) in postings.iter_mut().zip(chunk_postings?) {
+                for (q, ranked) in chunk {
                     if !ranked.is_empty() {
                         index.set_posting(q, ranked);
                     }
@@ -655,13 +407,15 @@ impl ServerBuilder {
             backend.attach_metrics(&registry);
         }
         let cache_capacity = (config.cache_capacity / num_shards).max(1);
-        let shards = backends
+        let shards: Vec<Arc<RankShard>> = backends
             .into_iter()
-            .zip(inverted)
-            .map(|(backend, inverted)| {
+            .zip(postings)
+            .enumerate()
+            .map(|(idx, (backend, postings))| {
                 Arc::new(RankShard::new(
+                    idx,
                     backend,
-                    inverted,
+                    postings,
                     config,
                     cache_capacity,
                     &registry,
@@ -669,15 +423,15 @@ impl ServerBuilder {
                 ))
             })
             .collect();
-        let front = FrontHalf {
+        Ok(OnlineServer {
+            shards: ShardSet::start(shards, config.sharding.replicas_per_shard, &registry),
             graph,
             frozen,
             config,
             sampler: FocalBiasedSampler::default(),
             fault: self.fault,
             metrics: FrontMetrics::new(registry),
-        };
-        Ok((front, shards))
+        })
     }
 }
 
@@ -713,12 +467,19 @@ fn build_backend(
     }
 }
 
-/// A shareable (`Arc`-cloneable, `&self`) online retrieval server: the
-/// front half plus one rank shard over the whole item pool, called inline.
-#[derive(Clone)]
+/// The online retrieval server: the front half plus one rank shard per
+/// item-pool partition (see the module docs). Every method takes `&self`,
+/// so one server behind an `Arc` serves every connection thread.
 pub struct OnlineServer {
-    front: Arc<FrontHalf>,
-    shard: Arc<RankShard>,
+    graph: Arc<HeteroGraph>,
+    frozen: FrozenModel,
+    config: ServingConfig,
+    sampler: FocalBiasedSampler,
+    /// Deterministic fault injector (tests/harnesses only); `None` in
+    /// production.
+    fault: Option<Arc<FaultInjector>>,
+    metrics: FrontMetrics,
+    shards: ShardSet,
 }
 
 impl OnlineServer {
@@ -727,51 +488,45 @@ impl OnlineServer {
         ServerBuilder::default()
     }
 
-    /// Term-based retrieval fallback (cold users / no dense request vector):
-    /// look the terms up in the two-layer inverted index.
-    pub fn handle_by_terms(&self, terms: &[u32]) -> Vec<NodeId> {
-        self.shard.inverted().retrieve_by_terms(terms, self.front.config.top_k)
-    }
-
-    /// Two-layer term → query → item index (§VII-E's iGraph layout) used by
-    /// term retrieval and the fallback rung.
-    pub fn inverted(&self) -> &InvertedIndex {
-        self.shard.inverted()
-    }
-
     pub fn config(&self) -> ServingConfig {
-        self.front.config
-    }
-
-    pub fn cache(&self) -> &NeighborCache {
-        self.shard.cache()
-    }
-
-    /// The retrieval backend this server probes (enum-dispatched; use
-    /// [`Backend::as_ivf`] to reach IVF-specific knobs when the configured
-    /// backend is IVF).
-    pub fn backend(&self) -> &Backend {
-        self.shard.backend()
+        self.config
     }
 
     pub fn graph(&self) -> &HeteroGraph {
-        self.front.graph()
+        &self.graph
+    }
+
+    /// The rank shards, in partition order (tests and benches inspect their
+    /// backends and caches).
+    pub fn shards(&self) -> &[Arc<RankShard>] {
+        self.shards.all()
     }
 
     /// The observability registry this server reports into (the one passed
     /// to [`ServerBuilder::metrics`], or a private disabled one).
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        self.front.metrics_registry()
+        &self.metrics.registry
     }
 
-    /// Point-in-time snapshot of every metric, cache counters included.
+    /// Point-in-time snapshot of every metric, with the cache partitions'
+    /// summed counters ingested first so hits/misses/refreshes appear next
+    /// to the stage timings.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.front.metrics_snapshot(self.shards())
+        self.metrics.registry.ingest_cache("cache", self.aggregated_cache_stats());
+        self.metrics.registry.snapshot()
     }
 
-    /// The single shard as the one-partition slice the front half takes.
-    fn shards(&self) -> &[Arc<RankShard>] {
-        std::slice::from_ref(&self.shard)
+    /// Neighbor-cache counters summed across every shard's partition.
+    pub fn aggregated_cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for shard in self.shards() {
+            let s = shard.cache().stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.refreshes += s.refreshes;
+            total.evictions += s.evictions;
+        }
+        total
     }
 
     /// Handle a batch of retrieval requests: one [`Retrieval`] per
@@ -785,25 +540,26 @@ impl OnlineServer {
     /// The batch runs under the configured [`ServingConfig::deadline`] (if
     /// any), started at the moment this call admits the batch.
     pub fn handle_batch(&self, queries: &[Query]) -> Result<Vec<Retrieval>, ServingError> {
-        self.handle_batch_with_deadline(queries, Deadline::from_config(self.front.config.deadline))
+        self.handle_batch_with_deadline(queries, Deadline::from_config(self.config.deadline))
     }
 
     /// [`Self::handle_batch`] under an explicit, possibly already-running
-    /// [`Deadline`] (e.g. one started when the request was enqueued, so
+    /// [`Deadline`] (e.g. one decoded from a wire-request header, so
     /// queueing delay counts against the budget).
     ///
     /// Deadline semantics: an expired budget at admission is an error
     /// ([`ServingError::DeadlineExceeded`]); once admitted the batch always
     /// produces a response — the server degrades (caps the ANN probe between
-    /// rounds, or answers from the inverted index alone) rather than wasting
-    /// work already done. `Deadline::none()` reads no clock and leaves the
-    /// path byte-identical to the pre-deadline server.
+    /// rounds, or answers from the postings alone) rather than wasting work
+    /// already done. `Deadline::none()` reads no clock and leaves the path
+    /// byte-identical to the pre-deadline server.
     pub fn handle_batch_with_deadline(
         &self,
         queries: &[Query],
         deadline: Deadline,
     ) -> Result<Vec<Retrieval>, ServingError> {
-        self.handle_batch_scored(queries, deadline).map(into_retrievals)
+        let rows = self.handle_batch_scored(queries, deadline)?;
+        Ok(rows.into_iter().map(ScoredRetrieval::into_retrieval).collect())
     }
 
     /// The full request path, keeping scores.
@@ -814,51 +570,235 @@ impl OnlineServer {
         queries: &[Query],
         deadline: Deadline,
     ) -> Result<Vec<ScoredRetrieval>, ServingError> {
-        self.serve(queries, &deadline, None)
+        self.serve(queries, deadline, None)
     }
 
     /// Serve a batch at a **prescribed** [`BrownoutRung`], bypassing the
     /// budget-driven selection: the harness entry point behind the
     /// `brownout_ladder` domination proptest and `fig_overload`'s per-rung
-    /// sweep. The batch runs the ordinary path under no deadline; only the
-    /// rung's origin differs (see `RankShard::rank` for what a forced
-    /// rung changes in the probe). Rung counters move exactly as an organic
-    /// batch at the same rung would move them.
+    /// sweep. The batch runs the ordinary path under no deadline, on every
+    /// shard; only the rung's origin differs (see `RankShard::rank` for what
+    /// a forced rung changes in the probe). Rung counters move exactly as an
+    /// organic batch at the same rung would move them.
     pub fn handle_batch_scored_forced(
         &self,
         queries: &[Query],
         rung: BrownoutRung,
     ) -> Result<Vec<ScoredRetrieval>, ServingError> {
-        self.serve(queries, &Deadline::none(), Some(rung))
+        self.serve(queries, Deadline::none(), Some(rung))
     }
 
-    /// Front half, then the one shard inline at the `forced` rung or the
-    /// one its own probe-cost EWMA selects, then the degraded count.
+    /// Front half, then every shard's reply at the `forced` rung or the one
+    /// the shards' probe-cost EWMAs select, then the merge: per query,
+    /// concatenate the replying shards' scored lists and reduce through the
+    /// shared top-k (a total order, so ties across shards break by id, as in
+    /// one shard). A lost shard marks the whole batch degraded — its
+    /// candidates are missing from the merge.
     fn serve(
         &self,
         queries: &[Query],
-        deadline: &Deadline,
+        deadline: Deadline,
         forced: Option<BrownoutRung>,
     ) -> Result<Vec<ScoredRetrieval>, ServingError> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let ranked = match self.front.prepare(self.shards(), queries, deadline)? {
-            Some(uq) => {
-                let rung = forced.unwrap_or_else(|| {
-                    BrownoutRung::select(deadline, self.shard.probe_cost_ewma_ns())
-                });
-                self.shard.rank(&uq, queries, deadline, rung, forced.is_some())?
-            }
-            None => self.shard.fallback(queries),
+        let replies = match self.prepare(queries, &deadline)? {
+            Some(uq) => self.shards.rank(uq, queries, deadline, forced)?,
+            // Budget spent before the embed: every shard's posting
+            // partition answers inline — nothing left worth a hand-off.
+            None => self.shards().iter().map(|s| Some(s.fallback(queries))).collect(),
         };
-        self.front.count_degraded(ranked.realized, queries.len());
-        Ok(ranked.rows)
+
+        let t_merge = StageTimer::start(&self.metrics.merge_ns);
+        let lost = replies.iter().any(Option::is_none);
+        let answered: Vec<Ranked> = replies.into_iter().flatten().collect();
+        let worst = answered.iter().map(|r| r.realized).max().unwrap_or(BrownoutRung::Full);
+        self.count_degraded(worst, queries.len());
+        let mut row_iters: Vec<std::vec::IntoIter<ScoredRetrieval>> =
+            answered.into_iter().map(|r| r.rows.into_iter()).collect();
+        let out = queries
+            .iter()
+            .map(|q| {
+                let rows = row_iters.iter_mut().filter_map(Iterator::next).collect();
+                merge_query(rows, self.config.effective_top_k(q), lost)
+            })
+            .collect();
+        t_merge.stop();
+        Ok(out)
     }
 
-    /// Warm the cache for a set of nodes (deployment pre-fill).
+    /// Warm the cache partitions for a set of nodes (deployment pre-fill):
+    /// each node lands only in its owning partition, through the same sweep
+    /// the request path runs on a miss — so pre-warmed and cold-started
+    /// servers serve identical results. A set-up call, so its misses are
+    /// computed in parallel.
     pub fn warm_cache(&self, nodes: &[NodeId]) -> Result<(), ServingError> {
-        self.front.warm_cache(self.shards(), nodes)
+        if self.config.disable_cache {
+            return Ok(());
+        }
+        self.validate_nodes(nodes.iter().copied())?;
+        self.fill_misses(nodes.iter().copied(), |missing| {
+            missing.par_iter().map(|&n| (n, self.neighborhood(n))).collect()
+        });
+        Ok(())
+    }
+
+    /// Reject any request node id outside the loaded graph before it can
+    /// reach code that indexes adjacency or feature arrays.
+    fn validate_nodes(&self, nodes: impl IntoIterator<Item = NodeId>) -> Result<(), ServingError> {
+        let num_nodes = self.graph.num_nodes();
+        for node in nodes {
+            if node as usize >= num_nodes {
+                return Err(ServingError::NodeOutOfRange { node, num_nodes });
+            }
+        }
+        Ok(())
+    }
+
+    /// Run the front half over a non-empty batch: `Ok(Some(uq))` is the
+    /// stacked request embeddings, ready to rank; `Ok(None)` means the batch
+    /// was admitted but its budget ran out before the embed, so the shards
+    /// answer from their fallback rows.
+    ///
+    /// A malformed request (a node id outside the graph, a `top_k` past
+    /// [`MAX_TOP_K`]) or a budget already spent at admission is an `Err`
+    /// for this batch only; nothing has been counted or cached, and the
+    /// server keeps serving subsequent batches. Once admitted the batch
+    /// always produces a response.
+    fn prepare(
+        &self,
+        queries: &[Query],
+        deadline: &Deadline,
+    ) -> Result<Option<Matrix>, ServingError> {
+        self.validate_nodes(queries.iter().flat_map(|r| [r.user, r.query]))?;
+        if let Some(top_k) = queries.iter().map(|q| q.top_k).find(|&k| k > MAX_TOP_K) {
+            return Err(ServingError::TopKOutOfRange { top_k, max: MAX_TOP_K });
+        }
+        let m = &self.metrics;
+        if deadline.expired() {
+            m.deadline_exceeded.inc();
+            return Err(ServingError::DeadlineExceeded { stage: "admission" });
+        }
+        m.batches.inc();
+        m.requests.add(queries.len() as u64);
+
+        fault::fire(&self.fault, FaultSite::CacheResolve);
+        let t = StageTimer::start(&m.stage_cache);
+        let neighbors = self.resolve_neighbors(queries)?;
+        t.stop();
+        if deadline.expired() {
+            return Ok(None);
+        }
+
+        fault::fire(&self.fault, FaultSite::Embed);
+        let t = StageTimer::start(&m.stage_embed);
+        let neighbor_slices: Vec<(&[NodeId], &[NodeId])> =
+            neighbors.iter().map(|(u, q)| (u.as_slice(), q.as_slice())).collect();
+        let uq = self.frozen.embed_requests(&self.graph, queries, &neighbor_slices);
+        t.stop();
+        Ok(Some(uq))
+    }
+
+    /// Resolve the user/query neighborhoods for a whole batch.
+    ///
+    /// Cached path: the miss sweep below, then a per-request lookup.
+    /// `disable_cache` (ablation) samples fresh per request under the
+    /// request's own focal context, like the paper's no-cache variant, and
+    /// touches no shard state.
+    fn resolve_neighbors(&self, queries: &[Query]) -> Result<Vec<NeighborPair>, ServingError> {
+        if self.config.disable_cache {
+            return Ok(queries
+                .iter()
+                .map(|r| {
+                    let (u, q) = r.pair();
+                    let ctx = FocalContext::for_request(&self.graph, u, q);
+                    let sample = |n: NodeId| {
+                        let mut rng = seeded_rng(n as u64);
+                        let mut fresh = self.sampler.sample(
+                            &self.graph,
+                            n,
+                            &ctx,
+                            self.config.cache_k,
+                            &mut rng,
+                        );
+                        fresh.truncate(self.config.cache_k);
+                        Arc::new(fresh)
+                    };
+                    (sample(u), sample(q))
+                })
+                .collect());
+        }
+        let nodes = queries.iter().flat_map(|r| [r.user, r.query]);
+        let resolved = self.fill_misses(nodes, |missing| {
+            missing.iter().map(|&n| (n, self.neighborhood(n))).collect()
+        });
+        let get = |n: NodeId| {
+            resolved
+                .get(&n)
+                .map(Arc::clone)
+                .ok_or(ServingError::Internal("cache sweep lost a node"))
+        };
+        queries.iter().map(|r| Ok((get(r.user)?, get(r.query)?))).collect()
+    }
+
+    /// A cache entry: the node's neutral-focal top-k
+    /// ([`neutral_topk_neighbors`] — the same definition offline eval uses),
+    /// so an entry never depends on which request, which shard count, or
+    /// which of warm-up and serving happened to materialize it.
+    fn neighborhood(&self, n: NodeId) -> Vec<NodeId> {
+        neutral_topk_neighbors(&self.graph, n, self.config.cache_k)
+    }
+
+    /// The one cache sweep: route each distinct node to the partition that
+    /// owns it ([`shard_of_node`]), read every partition under one
+    /// `get_many` lock round, compute each partition's misses through
+    /// `compute` ([`Self::neighborhood`] per node — serially on the request
+    /// path, in parallel only from the set-up caller), install them under one
+    /// `insert_many` write. Returns every requested node's entry.
+    fn fill_misses(
+        &self,
+        nodes: impl IntoIterator<Item = NodeId>,
+        compute: impl Fn(&[NodeId]) -> Vec<(NodeId, Vec<NodeId>)>,
+    ) -> HashMap<NodeId, Arc<Vec<NodeId>>> {
+        let shards = self.shards();
+        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); shards.len()];
+        let mut seen = HashSet::new();
+        for n in nodes {
+            if seen.insert(n) {
+                by_shard[shard_of_node(n, shards.len())].push(n);
+            }
+        }
+        let mut resolved = HashMap::with_capacity(seen.len());
+        for (shard, owned) in shards.iter().zip(&by_shard) {
+            if owned.is_empty() {
+                continue;
+            }
+            let found = shard.cache().get_many(owned);
+            let missing: Vec<NodeId> =
+                owned.iter().zip(&found).filter(|(_, f)| f.is_none()).map(|(&n, _)| n).collect();
+            let inserted = shard.cache().insert_many(compute(&missing));
+            resolved.extend(missing.into_iter().zip(inserted));
+            resolved.extend(owned.iter().zip(found).filter_map(|(&n, hit)| Some((n, hit?))));
+        }
+        resolved
+    }
+
+    /// Count how one served batch degraded: exactly one `serve.degraded.*`
+    /// counter, named for the *worst* rung any of its shards realized — one
+    /// per batch for the model-path rungs, one per request for the
+    /// fallback, nothing for a full-quality batch. Counted here, never by a
+    /// shard, so the family partitions degraded batches identically at
+    /// every shard count.
+    fn count_degraded(&self, realized: BrownoutRung, requests: usize) {
+        let m = &self.metrics;
+        match realized {
+            BrownoutRung::Full => {}
+            BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
+            BrownoutRung::ShrinkTopK => m.degraded_topk.inc(),
+            BrownoutRung::CapBudget => m.degraded_budget.inc(),
+            BrownoutRung::Fallback => m.degraded_fallback.add(requests as u64),
+        }
     }
 }
 
@@ -894,6 +834,12 @@ mod tests {
         (data, server)
     }
 
+    /// The single shard of a default (1×1) server.
+    fn only_shard(server: &OnlineServer) -> &RankShard {
+        let [shard] = server.shards() else { panic!("expected one shard") };
+        shard
+    }
+
     /// Batch-of-one through the typed API — the old `handle` semantics the
     /// bulk of these tests were written against.
     fn one(
@@ -927,9 +873,9 @@ mod tests {
         let (data, server) = build_server(false);
         let log = &data.logs[0];
         let first = one(&server, log.user, log.query).expect("serve");
-        let misses_after_first = server.cache().stats().misses;
+        let misses_after_first = server.aggregated_cache_stats().misses;
         let second = one(&server, log.user, log.query).expect("serve");
-        let stats = server.cache().stats();
+        let stats = server.aggregated_cache_stats();
         assert_eq!(first, second, "same request must be deterministic");
         assert_eq!(stats.misses, misses_after_first, "second request should not miss");
         assert!(stats.hits >= 2);
@@ -942,7 +888,7 @@ mod tests {
         let log = &data.logs[0];
         let result = one(&server, log.user, log.query).expect("serve");
         assert_eq!(result.len(), 20);
-        assert_eq!(server.cache().len(), 0, "cache must stay empty when disabled");
+        assert_eq!(only_shard(&server).cache().len(), 0, "cache must stay empty when disabled");
     }
 
     #[test]
@@ -950,7 +896,7 @@ mod tests {
         let (data, server) = build_server(false);
         let users: Vec<NodeId> = (0..10).collect();
         server.warm_cache(&users).expect("warm");
-        assert!(server.cache().len() >= 10);
+        assert!(only_shard(&server).cache().len() >= 10);
         let _ = data;
     }
 
@@ -1154,7 +1100,7 @@ mod tests {
         let baseline = server.handle_batch(&requests).expect("serve batch");
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let s = server.clone();
+                let s = &server;
                 let expected = baseline.clone();
                 let reqs = requests.clone();
                 scope.spawn(move || {
@@ -1173,34 +1119,16 @@ mod tests {
         let baseline = one(&server, log.user, log.query).expect("serve");
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let s = server.clone();
+                let s = &server;
                 let expected = baseline.clone();
                 let (u, q) = (log.user, log.query);
                 scope.spawn(move || {
                     for _ in 0..25 {
-                        assert_eq!(one(&s, u, q).expect("serve"), expected);
+                        assert_eq!(one(s, u, q).expect("serve"), expected);
                     }
                 });
             }
         });
-    }
-
-    #[test]
-    fn term_retrieval_returns_items_from_matching_queries() {
-        let (data, server) = build_server(false);
-        // Use a real query's terms; its posting must be reachable by term.
-        let q = data.logs[0].query;
-        let terms = data.graph.features().terms(q).to_vec();
-        assert!(!terms.is_empty());
-        let got = server.handle_by_terms(&terms);
-        assert!(!got.is_empty(), "term retrieval found nothing");
-        for &item in &got {
-            assert_eq!(data.graph.node_type(item), NodeType::Item);
-        }
-        assert!(got.len() <= server.config().top_k);
-        // Unknown terms retrieve nothing.
-        assert!(server.handle_by_terms(&[9_999_999]).is_empty());
-        assert!(server.inverted().num_postings() > 0);
     }
 
     #[test]
@@ -1247,7 +1175,7 @@ mod tests {
             backend: BackendKind::Exact,
             ..Default::default()
         });
-        assert_eq!(server.backend().kind(), BackendKind::Exact);
+        assert_eq!(only_shard(&server).backend().kind(), BackendKind::Exact);
         let requests: Vec<Query> =
             data.logs.iter().take(6).map(|l| Query::new(l.user, l.query)).collect();
         let batched = server.handle_batch(&requests).expect("serve batch");
@@ -1271,8 +1199,9 @@ mod tests {
             backend: BackendKind::Quantized,
             ..Default::default()
         });
-        assert_eq!(server.backend().kind(), BackendKind::Quantized);
-        let quant = server.backend().as_quantized().expect("quantized backend");
+        let backend = only_shard(&server).backend();
+        assert_eq!(backend.kind(), BackendKind::Quantized);
+        let quant = backend.as_quantized().expect("quantized backend");
         assert!(
             quant.memory_footprint().compression_ratio() >= 4.0,
             "int8 code store must be at least 4x smaller than the f32 rerank store"

@@ -2,24 +2,24 @@
 //! code that ranks against it.
 //!
 //! A [`RankShard`] owns a retrieval [`Backend`] over its slice of the item
-//! pool, the matching partition of the per-query posting index, the
-//! partition of the neighbor cache whose nodes hash to it
-//! ([`zoomer_graph::shard_of_node`]), and an EWMA of its own probe cost. It
-//! is handed an already-embedded batch and a [`BrownoutRung`] by whoever
-//! owns the batch — [`OnlineServer`](crate::server::OnlineServer) calls its
-//! one shard inline, [`ShardedServer`](crate::sharded::ShardedServer)
-//! scatters to N of them — and answers with scored rows plus the rung it
-//! *realized*. Nothing else in the crate probes a backend, walks the
+//! pool, the matching partition of the per-query postings, the partition of
+//! the neighbor cache whose nodes hash to it
+//! ([`zoomer_graph::shard_of_node`]), and an EWMA of its own probe cost. The
+//! [`OnlineServer`](crate::server::OnlineServer) hands it an already-embedded
+//! batch and a [`BrownoutRung`] — shard 0 on the calling thread, the others
+//! on their worker threads — and it answers with scored rows plus the rung
+//! it *realized*. Nothing else in the crate probes a backend, walks the
 //! brownout ladder, or builds fallback rows; nothing here touches the
 //! graph, the frozen towers, or a request/degraded counter (those belong to
-//! the batch's owner, so they move once per batch at any shard count).
+//! the server, so they move once per batch at any shard count).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use zoomer_graph::Query;
-use zoomer_obs::{Histogram, MetricsRegistry, StageTimer};
+use zoomer_obs::{Counter, Histogram, MetricsRegistry, StageTimer};
 use zoomer_tensor::Matrix;
 
 use crate::backend::{Backend, SearchBackend};
@@ -32,7 +32,7 @@ use crate::inverted::InvertedIndex;
 use crate::server::{ScoredRetrieval, ServingConfig};
 
 /// One shard's answer for a batch: a scored row per query, and the rung the
-/// shard actually served at — what the batch's owner counts under
+/// shard actually served at — what the server counts under
 /// `serve.degraded.*` (worst rung across shards, once).
 pub(crate) struct Ranked {
     pub(crate) rows: Vec<ScoredRetrieval>,
@@ -45,9 +45,8 @@ pub struct RankShard {
     /// The retrieval backend (enum-dispatched: no dynamic call in the hot
     /// probe loop), selected by [`ServingConfig::backend`].
     backend: Backend,
-    /// This partition's query → ranked-items postings (§VII-E's second
-    /// iGraph layer) under the tier-wide term layer; the fallback rung's
-    /// only data source.
+    /// This partition's query → ranked-items postings (§VII-E's iGraph
+    /// layer); the fallback rung's only data source.
     inverted: InvertedIndex,
     cache: NeighborCache,
     config: ServingConfig,
@@ -57,16 +56,21 @@ pub struct RankShard {
     ann_ewma_ns: AtomicU64,
     stage_ann: Histogram,
     stage_rank: Histogram,
+    /// `serve.shard.{i}.*`: replies, errored replies, and rank wall time.
+    batches: Counter,
+    errors: Counter,
+    rank_ns: Histogram,
     /// Deterministic fault injector (tests/harnesses only); `None` in
     /// production.
     fault: Option<Arc<FaultInjector>>,
 }
 
 impl RankShard {
-    /// Wrap a built partition. `cache_capacity` is this shard's share of
+    /// Wrap built partition `idx`. `cache_capacity` is this shard's share of
     /// [`ServingConfig::cache_capacity`]; the backend's own probe-volume
     /// counters are attached by the caller once offline ranking is done.
     pub(crate) fn new(
+        idx: usize,
         backend: Backend,
         inverted: InvertedIndex,
         config: ServingConfig,
@@ -82,6 +86,9 @@ impl RankShard {
             ann_ewma_ns: AtomicU64::new(0),
             stage_ann: registry.histogram("serve.stage.ann_probe_ns"),
             stage_rank: registry.histogram("serve.stage.rank_ns"),
+            batches: registry.counter(&format!("serve.shard.{idx}.batches")),
+            errors: registry.counter(&format!("serve.shard.{idx}.errors")),
+            rank_ns: registry.histogram(&format!("serve.shard.{idx}.rank_ns")),
             fault,
         }
     }
@@ -98,22 +105,39 @@ impl RankShard {
         &self.cache
     }
 
-    /// This shard's two-layer inverted index (shared term layer, own
-    /// postings).
-    pub fn inverted(&self) -> &InvertedIndex {
-        &self.inverted
-    }
-
     /// EWMA of recent probe cost in ns (0 until a bounded-deadline batch
-    /// has run). A batch's owner selects its rung from the *worst* shard's
+    /// has run). The server selects a batch's rung from the *worst* shard's
     /// value, so a merge never mixes qualities.
     pub fn probe_cost_ewma_ns(&self) -> u64 {
         self.ann_ewma_ns.load(Ordering::Relaxed)
     }
 
-    #[inline]
-    pub(crate) fn fire_fault(&self, site: FaultSite) {
-        fault::fire(&self.fault, site);
+    /// One shard reply: [`Self::rank`], then the `ShardReply` fault site,
+    /// both under `catch_unwind` — an injected panic becomes an errored
+    /// reply, never a dead worker or a panicking caller — counted under
+    /// `serve.shard.{i}.*`. Shard 0 runs it on the calling thread, the
+    /// others on their workers; the reply is the same either way.
+    pub(crate) fn reply(
+        &self,
+        uq: &Matrix,
+        queries: &[Query],
+        deadline: &Deadline,
+        rung: BrownoutRung,
+        forced: bool,
+    ) -> Result<Ranked, ServingError> {
+        self.batches.inc();
+        let t = StageTimer::start(&self.rank_ns);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let ranked = self.rank(uq, queries, deadline, rung, forced);
+            fault::fire(&self.fault, FaultSite::ShardReply);
+            ranked
+        }))
+        .unwrap_or(Err(ServingError::WorkerPanicked("shard rank stage panicked")));
+        t.stop();
+        if result.is_err() {
+            self.errors.inc();
+        }
+        result
     }
 
     /// Probe + rank an already-embedded batch at `rung`.
@@ -126,7 +150,7 @@ impl RankShard {
     /// width instead, so the rung means the same thing on every run, and
     /// measures nothing: a bench sweep must not teach the shard that probes
     /// are cheap or dear.
-    pub(crate) fn rank(
+    fn rank(
         &self,
         uq: &Matrix,
         queries: &[Query],
@@ -136,7 +160,7 @@ impl RankShard {
     ) -> Result<Ranked, ServingError> {
         // The fault fires before the expiry check so an injected ANN-stage
         // spike deterministically exercises the fallback path.
-        self.fire_fault(FaultSite::AnnProbe);
+        fault::fire(&self.fault, FaultSite::AnnProbe);
         if rung == BrownoutRung::Fallback || deadline.expired() {
             return Ok(self.fallback(queries));
         }
@@ -156,7 +180,7 @@ impl RankShard {
                 // latency.
                 let bounded = self.timed(true, || {
                     self.backend.search_batch_deadline(uq, batch_k, deadline, &mut |_| {
-                        self.fire_fault(FaultSite::AnnRound)
+                        fault::fire(&self.fault, FaultSite::AnnRound)
                     })
                 })?;
                 let capped = bounded.capped();

@@ -44,7 +44,7 @@ use zoomer_obs::Counter;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::router::TenantFairGate;
-use crate::sharded::ShardedServer;
+use crate::server::OnlineServer;
 
 /// Frame magic: "ZM" little-endian.
 pub const WIRE_MAGIC: u16 = 0x5A4D;
@@ -406,10 +406,10 @@ pub const DEFAULT_MAX_CONNS: usize = 1024;
 const REJECT_IO_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The TCP front door: accepts connections, decodes request frames, runs
-/// per-tenant fair admission, scatters admitted queries through the
-/// [`ShardedServer`], and answers with response frames.
+/// per-tenant fair admission, serves admitted queries through the
+/// [`OnlineServer`], and answers with response frames.
 pub struct FrontDoor {
-    server: Arc<ShardedServer>,
+    server: Arc<OnlineServer>,
     gate: Arc<TenantFairGate>,
     max_conns: usize,
     active: Arc<AtomicUsize>,
@@ -449,7 +449,7 @@ impl FrontDoor {
     /// A front door over `server` admitting at most `tenant_capacity`
     /// requests per fairness window (0 disables shedding), with the
     /// concurrent-connection bound at [`DEFAULT_MAX_CONNS`].
-    pub fn new(server: Arc<ShardedServer>, tenant_capacity: usize) -> Self {
+    pub fn new(server: Arc<OnlineServer>, tenant_capacity: usize) -> Self {
         let gate = Arc::new(TenantFairGate::new(tenant_capacity, server.metrics_registry()));
         let conn_rejected = server.metrics_registry().counter("serve.frontdoor.conn_rejected");
         Self {
@@ -474,7 +474,7 @@ impl FrontDoor {
         &self.gate
     }
 
-    pub fn server(&self) -> &Arc<ShardedServer> {
+    pub fn server(&self) -> &Arc<OnlineServer> {
         &self.server
     }
 
@@ -548,7 +548,7 @@ fn reject_connection(mut stream: TcpStream) -> Result<(), WireError> {
 /// Per-connection loop: read request frames until EOF, answer each one.
 fn handle_connection(
     mut stream: TcpStream,
-    server: &ShardedServer,
+    server: &OnlineServer,
     gate: &TenantFairGate,
 ) -> Result<(), WireError> {
     stream.set_nodelay(true)?;
@@ -568,10 +568,10 @@ fn handle_connection(
     Ok(())
 }
 
-/// Admission + scatter for one decoded request frame: shed rows never
+/// Admission + serve for one decoded request frame: shed rows never
 /// reach the server; admitted rows keep request order.
 pub fn serve_frame(
-    server: &ShardedServer,
+    server: &OnlineServer,
     gate: &TenantFairGate,
     request: &RequestFrame,
 ) -> Result<ResponseFrame, ServingError> {

@@ -1,5 +1,5 @@
 //! Front-door integration suite: real loopback TCP through the length-
-//! prefixed wire protocol into a live [`ShardedServer`] (wired into
+//! prefixed wire protocol into a live sharded [`OnlineServer`] (wired into
 //! `ci.sh`).
 //!
 //! Covers the acceptance criterion end-to-end: a noisy tenant offering 5×
@@ -15,7 +15,7 @@ use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
 use zoomer_serving::wire::write_frame;
 use zoomer_serving::{
     BackendKind, FrontDoor, FrozenModel, OnlineServer, Query, ResponseStatus, ServingConfig,
-    ShardedServer, ShardingConfig, WireClient, WireError, MAX_TOP_K,
+    ShardingConfig, WireClient, WireError, MAX_TOP_K,
 };
 
 struct Fixture {
@@ -61,7 +61,7 @@ fn front_door_with(tenant_capacity: usize, max_conns: usize) -> (Arc<FrontDoor>,
             ..Default::default()
         })
         .seed(71);
-    let server = Arc::new(ShardedServer::build(builder).expect("sharded build"));
+    let server = Arc::new(builder.build().expect("sharded build"));
     let door = Arc::new(FrontDoor::new(server, tenant_capacity).with_max_conns(max_conns));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();

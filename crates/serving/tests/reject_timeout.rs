@@ -14,9 +14,7 @@ use std::time::{Duration, Instant};
 use zoomer_data::{TaobaoConfig, TaobaoData};
 use zoomer_graph::NodeId;
 use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
-use zoomer_serving::{
-    FrontDoor, OnlineServer, Query, ServingConfig, ShardedServer, ShardingConfig, WireClient,
-};
+use zoomer_serving::{FrontDoor, OnlineServer, Query, ServingConfig, ShardingConfig, WireClient};
 
 /// This process's current thread count, where `/proc` reports one.
 fn threads() -> Option<usize> {
@@ -42,19 +40,18 @@ fn silent_over_cap_dials_do_not_hold_threads() {
     let frozen = model.freeze(&data.graph);
     let items = data.item_nodes();
     let (user, query): (NodeId, NodeId) = (data.logs[0].user, data.logs[0].query);
-    let server = ShardedServer::build(
-        OnlineServer::builder()
-            .graph(Arc::new(data.graph))
-            .frozen(frozen)
-            .item_pool(&items)
-            .config(ServingConfig {
-                top_k: 10,
-                sharding: ShardingConfig { num_shards: 1, replicas_per_shard: 1 },
-                ..Default::default()
-            })
-            .seed(29),
-    )
-    .expect("sharded build");
+    let server = OnlineServer::builder()
+        .graph(Arc::new(data.graph))
+        .frozen(frozen)
+        .item_pool(&items)
+        .config(ServingConfig {
+            top_k: 10,
+            sharding: ShardingConfig { num_shards: 1, replicas_per_shard: 1 },
+            ..Default::default()
+        })
+        .seed(29)
+        .build()
+        .expect("sharded build");
     let door = Arc::new(FrontDoor::new(Arc::new(server), 0).with_max_conns(1));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();

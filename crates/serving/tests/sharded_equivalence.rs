@@ -1,15 +1,17 @@
 //! Sharded-vs-single-shard equivalence suite (wired into `ci.sh`).
 //!
-//! The scatter-gather contract: a [`ShardedServer`] with one shard is the
-//! same server as a plain [`OnlineServer`] — not "close", bit-identical,
-//! scores included (proptest-pinned, same spirit as `backend_parity.rs`).
-//! At higher shard counts the exact backend must still produce the global
-//! top-k (partition + merge loses nothing an exact scan would find, and
-//! breaks score ties across shards exactly as one shard does), and
-//! shard-reply faults must degrade the batch instead of erroring it.
+//! The scatter-gather contract: with the exact backend, an
+//! [`OnlineServer`] at N ∈ {2, 3, 4, 8} shards — shard 0 ranked inline,
+//! the rest on worker threads — produces the N = 1 server's global top-k,
+//! not "close" but bit-identical, scores included (partition + merge loses
+//! nothing an exact scan would find, and breaks score ties across shards
+//! exactly as one shard does). Shard-reply faults must degrade the batch
+//! instead of erroring it. Two builds of one configuration serve
+//! identically (the N = 1 pins below).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -19,7 +21,7 @@ use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
 use zoomer_obs::MetricsRegistry;
 use zoomer_serving::{
     BackendKind, Deadline, FaultPlan, FaultSite, FrozenModel, NeighborCache, OnlineServer, Query,
-    SearchBackend, ServerBuilder, ServingConfig, ShardedServer, ShardingConfig,
+    SearchBackend, ServerBuilder, ServingConfig, ServingError, ShardingConfig,
 };
 
 struct Fixture {
@@ -115,21 +117,24 @@ fn queries_from(indices: &[usize], top_ks: &[u32]) -> Vec<Query> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// N=1 scatter-gather is bit-identical to the single-shard server:
-    /// same ids, same score bits, same degraded flags, for any batch mix
-    /// of default and per-request top-k — with no deadline, and under a
-    /// bounded one generous enough that no rung below `Full` is realized
-    /// (the ladder is selected and executed, and must change nothing).
+    /// Build determinism at N = 1: two builds of one configuration serve
+    /// bit-identically — same ids, same score bits, same degraded flags,
+    /// for any batch mix of default and per-request top-k — with no
+    /// deadline, and under a bounded one generous enough that no rung below
+    /// `Full` is realized (the ladder is selected and executed, and must
+    /// change nothing). Inline and worker shards are compared by
+    /// `exact_backend_merge_recovers_the_global_topk` and
+    /// `ties_across_shards_merge_to_the_unsharded_ids`.
     #[test]
     fn n1_sharded_is_bit_identical_to_single_shard(
         indices in prop::collection::vec(0usize..100, 1..10),
         top_ks in prop::collection::vec(0u32..13, 10),
     ) {
-        static PAIR: OnceLock<(OnlineServer, ShardedServer)> = OnceLock::new();
+        static PAIR: OnceLock<(OnlineServer, OnlineServer)> = OnceLock::new();
         let (single, sharded) = PAIR.get_or_init(|| {
             let cfg = config(BackendKind::Ivf, 1);
             let single = builder(cfg).build().expect("single build");
-            let sharded = ShardedServer::build(builder(cfg)).expect("sharded build");
+            let sharded = builder(cfg).build().expect("second build");
             (single, sharded)
         });
         let queries = queries_from(&indices, &top_ks);
@@ -145,13 +150,14 @@ proptest! {
     }
 }
 
-/// Every backend kind agrees at N=1 on a fixed batch (ids and scores).
+/// Build determinism at N = 1 for every backend kind: two builds agree on
+/// a fixed batch (ids and scores).
 #[test]
 fn n1_equivalence_holds_for_every_backend() {
     for backend in [BackendKind::Ivf, BackendKind::Exact, BackendKind::Quantized] {
         let cfg = config(backend, 1);
         let single = builder(cfg).build().expect("single build");
-        let sharded = ShardedServer::build(builder(cfg)).expect("sharded build");
+        let sharded = builder(cfg).build().expect("second build");
         let queries = queries_from(&[0, 1, 2, 3, 4, 5, 6, 7], &[0, 0, 5, 0, 9, 0, 0, 2]);
         let want = single.handle_batch_scored(&queries, Deadline::none()).expect("single");
         let got = sharded.handle_batch_scored(&queries, Deadline::none()).expect("sharded");
@@ -160,16 +166,16 @@ fn n1_equivalence_holds_for_every_backend() {
 }
 
 /// With the exact backend, partitioning cannot lose candidates: the merged
-/// top-k at N∈{2,4,8} equals the single-shard exact top-k.
+/// top-k at N∈{2,3,4,8} — shard 0 inline, the rest on workers — equals the
+/// single-shard exact top-k.
 #[test]
 fn exact_backend_merge_recovers_the_global_topk() {
     let single = builder(config(BackendKind::Exact, 1)).build().expect("single build");
     let queries = queries_from(&[0, 3, 9, 14, 27, 33], &[0, 0, 0, 4, 0, 8]);
     let want = single.handle_batch(&queries).expect("single serve");
-    for shards in [2usize, 4, 8] {
-        let sharded =
-            ShardedServer::build(builder(config(BackendKind::Exact, shards))).expect("build");
-        assert_eq!(sharded.num_shards(), shards);
+    for shards in [2usize, 3, 4, 8] {
+        let sharded = builder(config(BackendKind::Exact, shards)).build().expect("build");
+        assert_eq!(sharded.shards().len(), shards);
         let got = sharded.handle_batch(&queries).expect("sharded serve");
         assert_eq!(want, got, "exact scatter-gather lost candidates at N={shards}");
     }
@@ -189,8 +195,8 @@ fn ties_across_shards_merge_to_the_unsharded_ids() {
         "the tied pool must put score ties inside every row's top-k"
     );
     for shards in [2usize, 4] {
-        let sharded = ShardedServer::build(builder_on(fix, config(BackendKind::Exact, shards)))
-            .expect("sharded build");
+        let sharded =
+            builder_on(fix, config(BackendKind::Exact, shards)).build().expect("sharded build");
         let got = sharded.handle_batch_scored(&queries, Deadline::none()).expect("sharded serve");
         assert_eq!(score_bits(&want), score_bits(&got), "tied pool diverged at N={shards}");
     }
@@ -201,7 +207,7 @@ fn ties_across_shards_merge_to_the_unsharded_ids() {
 #[test]
 fn item_pool_partition_follows_shard_arithmetic() {
     let fix = fixture();
-    let sharded = ShardedServer::build(builder(config(BackendKind::Exact, 4))).expect("build");
+    let sharded = builder(config(BackendKind::Exact, 4)).build().expect("build");
     let pool = &fix.pool;
     let total: usize = sharded.shards().iter().map(|s| s.backend().len()).sum();
     assert_eq!(total, pool.len(), "shards must cover the pool exactly once");
@@ -223,10 +229,11 @@ fn lost_shard_reply_degrades_instead_of_erroring() {
     );
     let registry = Arc::new(zoomer_obs::MetricsRegistry::new());
     registry.set_enabled(true);
-    let sharded = ShardedServer::build(
-        builder(config(BackendKind::Exact, 2)).metrics(Arc::clone(&registry)).fault(fault),
-    )
-    .expect("build");
+    let sharded = builder(config(BackendKind::Exact, 2))
+        .metrics(Arc::clone(&registry))
+        .fault(fault)
+        .build()
+        .expect("build");
     let queries = queries_from(&[0, 1, 2], &[0, 0, 0]);
     let got = sharded.handle_batch(&queries).expect("one lost shard must not error the batch");
     assert_eq!(got.len(), queries.len());
@@ -240,6 +247,102 @@ fn lost_shard_reply_degrades_instead_of_erroring() {
     assert_eq!(snap.counter("serve.shard.1.batches").unwrap_or(0), 1);
 }
 
+/// Shard 0 ranks on the calling thread but fails like a worker: at N = 1 a
+/// panic injected at its reply is caught and counted under
+/// `serve.shard.0.errors`, and — every shard reply being lost — errors that
+/// batch alone. The next batch serves normally.
+#[test]
+fn inline_shard_fails_like_a_worker() {
+    let armed = Arc::new(AtomicBool::new(true));
+    let fault = {
+        let armed = Arc::clone(&armed);
+        let plan = FaultPlan::new(1).action(FaultSite::ShardReply, 1, move || {
+            if armed.swap(false, Ordering::Relaxed) {
+                panic!("injected inline shard-reply loss");
+            }
+        });
+        Arc::new(plan.build())
+    };
+    let registry = Arc::new(MetricsRegistry::enabled());
+    let server = builder(config(BackendKind::Exact, 1))
+        .metrics(Arc::clone(&registry))
+        .fault(fault)
+        .build()
+        .expect("build");
+    let queries = queries_from(&[0, 1, 2], &[0, 0, 0]);
+    let err = server.handle_batch(&queries).expect_err("the only shard reply was lost");
+    assert_eq!(err, ServingError::WorkerPanicked("shard rank stage panicked"));
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("serve.shard.0.batches"), Some(1));
+    assert_eq!(snap.counter("serve.shard.0.errors"), Some(1));
+    assert_eq!(snap.counter("serve.shard.replies_lost"), Some(1));
+    let rows = server.handle_batch(&queries).expect("the next batch serves");
+    assert!(rows.iter().all(|r| !r.degraded && !r.items.is_empty()), "{rows:?}");
+    assert_eq!(registry.snapshot().counter("serve.shard.0.errors"), Some(1));
+}
+
+/// A job no worker has started is ranked by the batch's own caller: while
+/// shard 1's only worker is held inside one batch, a second batch still
+/// answers in full on its calling thread, exactly as one shard would.
+#[test]
+fn a_caller_ranks_the_jobs_no_worker_has_started() {
+    const WAIT: Duration = Duration::from_secs(10);
+    let (to_caller, worker_in_for_caller) = mpsc::channel::<()>();
+    let (to_test, worker_in) = mpsc::channel::<()>();
+    let (release, released) = mpsc::channel::<()>();
+    let (signal, released) = (Mutex::new((to_caller, to_test)), Mutex::new(released));
+    let worker_in_for_caller = Mutex::new(worker_in_for_caller);
+    let plan = FaultPlan::new(1).action(FaultSite::AnnProbe, 1, move || {
+        // Every caller below runs on a named thread; shard workers are
+        // unnamed.
+        match std::thread::current().name() {
+            // Shard 1's worker: report in, then hold until released.
+            None => {
+                if let Ok(s) = signal.lock() {
+                    let _ = (s.0.send(()), s.1.send(()));
+                }
+                if let Ok(r) = released.lock() {
+                    let _ = r.recv_timeout(WAIT);
+                }
+            }
+            // The first batch's caller ranks shard 0 only once the worker
+            // has started shard 1's job, so it has nothing left to take.
+            Some("held batch") => {
+                if let Ok(r) = worker_in_for_caller.lock() {
+                    let _ = r.recv_timeout(WAIT);
+                }
+            }
+            Some(_) => {}
+        }
+    });
+    let cfg = ServingConfig {
+        sharding: ShardingConfig { num_shards: 2, replicas_per_shard: 1 },
+        ..config(BackendKind::Exact, 2)
+    };
+    let server = builder(cfg).fault(Arc::new(plan.build())).build().expect("build");
+    let single = builder(config(BackendKind::Exact, 1)).build().expect("single build");
+    let first = queries_from(&[0, 1], &[0, 0]);
+    let second = queries_from(&[2, 3, 4], &[0, 5, 0]);
+    std::thread::scope(|scope| {
+        let held = std::thread::Builder::new()
+            .name("held batch".into())
+            .spawn_scoped(scope, || server.handle_batch(&first))
+            .expect("spawn");
+        worker_in.recv_timeout(WAIT).expect("shard 1's worker never started the first batch");
+        let got = std::thread::Builder::new()
+            .name("second batch".into())
+            .spawn_scoped(scope, || server.handle_batch(&second))
+            .expect("spawn")
+            .join()
+            .expect("second batch thread")
+            .expect("serve past the held worker");
+        assert_eq!(got, single.handle_batch(&second).expect("single serve"));
+        drop(release);
+        let held = held.join().expect("held batch thread");
+        assert_eq!(held.expect("held serve"), single.handle_batch(&first).expect("single serve"));
+    });
+}
+
 /// A reply delayed past the deadline's gather grace is lost; when every
 /// shard's reply is lost the batch errors instead of hanging.
 #[test]
@@ -249,7 +352,7 @@ fn reply_delay_past_the_gather_window_is_loss() {
     );
     let mut cfg = config(BackendKind::Exact, 2);
     cfg.deadline = Some(Duration::from_millis(400));
-    let sharded = ShardedServer::build(builder(cfg).fault(fault)).expect("build");
+    let sharded = builder(cfg).fault(fault).build().expect("build");
     let queries = queries_from(&[0, 1], &[0, 0]);
     let got = sharded.handle_batch(&queries);
     // Either every reply missed the window (typical) or the budget was
@@ -264,18 +367,20 @@ fn reply_delay_past_the_gather_window_is_loss() {
 /// Sharding rejects layouts the pool cannot fill, and zero-shard configs.
 #[test]
 fn degenerate_shard_layouts_are_rejected() {
-    let Err(err) = ShardedServer::build(builder(ServingConfig {
+    let Err(err) = builder(ServingConfig {
         sharding: ShardingConfig { num_shards: 0, replicas_per_shard: 1 },
         ..Default::default()
-    })) else {
+    })
+    .build() else {
         panic!("zero shards must be rejected");
     };
     assert!(format!("{err}").contains("sharding"));
     // 80 items cannot fill 4096 shards: some shard ends up empty.
-    let Err(err) = ShardedServer::build(builder(ServingConfig {
+    let Err(err) = builder(ServingConfig {
         sharding: ShardingConfig { num_shards: 4096, replicas_per_shard: 1 },
         ..Default::default()
-    })) else {
+    })
+    .build() else {
         panic!("empty shards must be rejected");
     };
     assert!(format!("{err}").contains("no items"));
@@ -285,7 +390,7 @@ fn degenerate_shard_layouts_are_rejected() {
 /// stats see it.
 #[test]
 fn partitioned_cache_serves_repeats_without_re_missing() {
-    let sharded = ShardedServer::build(builder(config(BackendKind::Ivf, 2))).expect("build");
+    let sharded = builder(config(BackendKind::Ivf, 2)).build().expect("build");
     let queries = queries_from(&[0, 1, 2, 3], &[0, 0, 0, 0]);
     let first = sharded.handle_batch(&queries).expect("serve");
     let misses_after_first = sharded.aggregated_cache_stats().misses;
@@ -308,7 +413,7 @@ const BATCH_COUNTERS: [&str; 6] = [
 
 /// Serve one 4-request batch under `deadline` on a fresh tier whose every
 /// pass through `site` stalls for `stall`, and return what it moved of
-/// [`BATCH_COUNTERS`]. `num_shards == 0` is the plain [`OnlineServer`].
+/// [`BATCH_COUNTERS`]. `num_shards == 0` builds one shard, as 1 does.
 fn stalled_batch_deltas(
     num_shards: usize,
     deadline: Duration,
@@ -321,21 +426,19 @@ fn stalled_batch_deltas(
     let fault = Arc::new(FaultPlan::new(7).delay(site, 1, stall).build());
     let builder = builder(cfg).metrics(Arc::clone(&registry)).fault(fault);
     let queries = queries_from(&[0, 1, 2, 3], &[0, 0, 0, 0]);
-    let rows = if num_shards == 0 {
-        builder.build().expect("single build").handle_batch(&queries)
-    } else {
-        ShardedServer::build(builder).expect("sharded build").handle_batch(&queries)
-    }
-    .expect("an admitted batch always answers");
+    let rows = builder
+        .build()
+        .expect("build")
+        .handle_batch(&queries)
+        .expect("an admitted batch always answers");
     assert!(rows.iter().all(|r| r.degraded), "the stalled batch must be served degraded");
     let snap = registry.snapshot();
     BATCH_COUNTERS.iter().map(|name| snap.counter(name).unwrap_or(0)).collect()
 }
 
 /// `serve.requests`, `serve.batches` and the `serve.degraded.*` family are
-/// counted once per batch by whoever owns the batch — never once per shard.
-/// The same stalled batch moves them identically on the un-sharded server
-/// and at every shard count.
+/// counted once per batch by the server — never once per shard. The same
+/// stalled batch moves them identically at every shard count.
 #[test]
 fn batch_counters_do_not_scale_with_shard_count() {
     let ms = Duration::from_millis;
@@ -352,7 +455,7 @@ fn batch_counters_do_not_scale_with_shard_count() {
             assert_eq!(
                 stalled_batch_deltas(num_shards, deadline, site, stall),
                 want,
-                "{what} batch at N={num_shards} (0 = un-sharded) moved {BATCH_COUNTERS:?} wrongly"
+                "{what} batch at N={num_shards} moved {BATCH_COUNTERS:?} wrongly"
             );
         }
     }
@@ -393,10 +496,10 @@ fn neighbor_resolve_is_partition_invariant() {
     for batch in &batches {
         single.handle_batch(batch).expect("single serve");
     }
-    let want = resident_entries(&[single.cache()], num_nodes);
+    let want = resident_entries(&[single.shards()[0].cache()], num_nodes);
     assert!(!want.is_empty());
     for shards in [1usize, 2, 4] {
-        let build = || ShardedServer::build(builder(config(BackendKind::Exact, shards)));
+        let build = || builder(config(BackendKind::Exact, shards)).build();
         let cold = build().expect("cold build");
         let cold_rows: Vec<_> =
             batches.iter().map(|b| cold.handle_batch(b).expect("cold serve")).collect();

@@ -1,5 +1,5 @@
-//! Every thread has a bound: once a sharded tier is warm, serving creates no
-//! thread. The shard workers are the serving parallelism; nothing under
+//! Every thread has a bound: once a sharded server is warm, serving creates
+//! no thread. The shard workers are the serving parallelism; nothing under
 //! `handle_batch` may spawn (no per-frame fork-join in the search, no
 //! parallel miss computation).
 //!
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use zoomer_data::{TaobaoConfig, TaobaoData};
 use zoomer_graph::NodeId;
 use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
-use zoomer_serving::{OnlineServer, Query, ServingConfig, ShardedServer, ShardingConfig};
+use zoomer_serving::{OnlineServer, Query, ServingConfig, ShardingConfig};
 
 /// This process's current thread count, where `/proc` reports one.
 fn threads() -> Option<usize> {
@@ -39,15 +39,14 @@ fn serving_creates_no_thread_after_warm_up() {
         sharding: ShardingConfig { num_shards: 2, replicas_per_shard: 1 },
         ..Default::default()
     };
-    let server = ShardedServer::build(
-        OnlineServer::builder()
-            .graph(Arc::new(data.graph))
-            .frozen(frozen)
-            .item_pool(&items)
-            .config(config)
-            .seed(23),
-    )
-    .expect("sharded build");
+    let server = OnlineServer::builder()
+        .graph(Arc::new(data.graph))
+        .frozen(frozen)
+        .item_pool(&items)
+        .config(config)
+        .seed(23)
+        .build()
+        .expect("sharded build");
     let frame = |f: usize| -> Vec<Query> {
         (0..32)
             .map(|j| {

@@ -12,7 +12,7 @@ use zoomer_core::data::TaobaoConfig;
 use zoomer_core::graph::ShardingConfig;
 use zoomer_core::serving::{
     run_load, BackendKind, FrozenModel, LoadTestSpec, OnlineServer, Query, ServingConfig,
-    ShardedServer, ShedPolicy,
+    ShedPolicy,
 };
 use zoomer_core::train::TrainerConfig;
 use zoomer_core::{PipelineConfig, ZoomerPipeline};
@@ -59,7 +59,8 @@ fn main() {
     // asynchronous cache updating, done up front here).
     let warm: Vec<u32> = requests.iter().flat_map(|q| [q.user, q.query]).collect();
     server.warm_cache(&warm).expect("warm cache");
-    println!("warmed {} cache entries (k = 30)", server.cache().len());
+    let entries: usize = server.shards().iter().map(|s| s.cache().len()).sum();
+    println!("warmed {entries} cache entries (k = 30)");
 
     println!("\n{:>8} {:>10} {:>10} {:>10} {:>10}", "QPS", "mean ms", "p50 ms", "p95 ms", "p99 ms");
     for qps in [100.0, 500.0, 1000.0, 2000.0, 5000.0] {
@@ -71,7 +72,7 @@ fn main() {
             qps, lat.mean_ms, lat.p50_ms, lat.p95_ms, lat.p99_ms
         );
     }
-    println!("\ncache hit rate: {:.1}%", server.cache().stats().hit_rate() * 100.0);
+    println!("\ncache hit rate: {:.1}%", server.aggregated_cache_stats().hit_rate() * 100.0);
 
     // Overload: the same pool offered far past capacity, but through a
     // bounded admission queue with a per-batch deadline armed. The server
@@ -135,7 +136,8 @@ fn main() {
         .build()
         .expect("serving build");
     quantized.warm_cache(&warm).expect("warm cache");
-    if let Some(q) = quantized.backend().as_quantized() {
+    let backend = quantized.shards()[0].backend();
+    if let Some(q) = backend.as_quantized() {
         let mem = q.memory_footprint();
         println!(
             "scan store: {} B codes (+{} B params) vs {} B f32 rerank rows ({:.1}x smaller)",
@@ -149,38 +151,37 @@ fn main() {
         .expect("load run");
     println!(
         "backend {} | 1000 QPS: p50 {:.3} ms, p99 {:.3} ms",
-        quantized.backend().kind().name(),
+        backend.kind().name(),
         report.latency.p50_ms,
         report.latency.p99_ms
     );
 
     // Scatter-gather: the same builder, one more config line, and the item
-    // pool splits across shard-local indexes behind a merging router. A
-    // `ShardedServer` serves the same `handle_batch` contract (bit-identical
-    // at one shard — see `tests/sharded_equivalence.rs`), so the load
-    // harness drives it through the same `QueryService` entry point. The
-    // TCP front door over this tier is the `zoomer-serve` binary.
+    // pool splits across shard-local indexes whose replies merge by score.
+    // Shard 0 ranks on the calling thread, shards 1..3 on two worker
+    // threads each; the server keeps the same `handle_batch` contract, so
+    // the load harness drives it unchanged. The TCP front door over it is
+    // the `zoomer-serve` binary.
     println!("\n== Sharded scatter-gather (4 shards x 2 replicas) ==");
-    let sharded = ShardedServer::build(
-        OnlineServer::builder()
-            .graph(Arc::clone(&graph))
-            .frozen(FrozenModel::from_model(pipeline.model_mut(), &graph))
-            .item_pool(&items)
-            .config(ServingConfig {
-                cache_k: 30,
-                top_k: 100,
-                sharding: ShardingConfig { num_shards: 4, replicas_per_shard: 2 },
-                ..Default::default()
-            })
-            .seed(seed),
-    )
-    .expect("sharded build");
+    let sharded = OnlineServer::builder()
+        .graph(Arc::clone(&graph))
+        .frozen(FrozenModel::from_model(pipeline.model_mut(), &graph))
+        .item_pool(&items)
+        .config(ServingConfig {
+            cache_k: 30,
+            top_k: 100,
+            sharding: ShardingConfig { num_shards: 4, replicas_per_shard: 2 },
+            ..Default::default()
+        })
+        .seed(seed)
+        .build()
+        .expect("sharded build");
     sharded.warm_cache(&warm).expect("warm cache");
     let report = run_load(&sharded, &requests, &LoadTestSpec::open(1000.0).num_threads(4))
         .expect("load run");
     println!(
         "{} shards | 1000 QPS: p50 {:.3} ms, p99 {:.3} ms",
-        sharded.num_shards(),
+        sharded.shards().len(),
         report.latency.p50_ms,
         report.latency.p99_ms
     );

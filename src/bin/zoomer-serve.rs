@@ -1,5 +1,5 @@
-//! `zoomer-serve` — the sharded scatter-gather retrieval server behind a
-//! real TCP front door.
+//! `zoomer-serve` — the sharded retrieval server behind a real TCP front
+//! door.
 //!
 //! ```text
 //! zoomer-serve --addr 127.0.0.1:7470 --shards 4 --replicas 2   # serve forever
@@ -8,7 +8,8 @@
 //!
 //! The server regenerates its dataset from `--seed` (deterministic, same
 //! as the `zoomer` CLI), partitions the item pool across `--shards`
-//! scatter-gather shards, and speaks the length-prefixed binary protocol
+//! shards — shard 0 ranks on each connection's own thread, every other
+//! shard on `--replicas` worker threads — and speaks the length-prefixed binary protocol
 //! in `zoomer_serving::wire` (see DESIGN.md § "Sharded serving & wire
 //! protocol"). `--tenant-capacity` bounds admissions per fairness window;
 //! 0 disables shedding.
@@ -26,8 +27,7 @@ use zoomer_core::graph::ShardingConfig;
 use zoomer_core::model::{CtrModel, ModelConfig, UnifiedCtrModel};
 use zoomer_core::obs::MetricsRegistry;
 use zoomer_core::serving::{
-    FrontDoor, OnlineServer, Query, ResponseStatus, ServingConfig, ShardedServer, WireClient,
-    DEFAULT_MAX_CONNS,
+    FrontDoor, OnlineServer, Query, ResponseStatus, ServingConfig, WireClient, DEFAULT_MAX_CONNS,
 };
 
 fn usage() -> &'static str {
@@ -37,8 +37,8 @@ fn usage() -> &'static str {
        --seed S               dataset/model seed (default 42)\n\
        --users N --items N    dataset size (defaults 500 / 1000)\n\
        --sessions N           behavior logs to generate (default 4000)\n\
-       --shards N             scatter-gather shards (default 4)\n\
-       --replicas N           worker threads per shard (default 2)\n\
+       --shards N             item-pool shards (default 4)\n\
+       --replicas N           worker threads per shard after shard 0 (default 2)\n\
        --tenant-capacity N    fair-admission window capacity, 0 = off (default 0)\n\
        --max-conns N          concurrent connection cap, 0 = off (default 1024)\n\
        --smoke                loopback self-test: serve, dial, verify, exit"
@@ -99,7 +99,7 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-fn build(opts: &Opts) -> Result<(Arc<ShardedServer>, Vec<Query>), String> {
+fn build(opts: &Opts) -> Result<(Arc<OnlineServer>, Vec<Query>), String> {
     let data = TaobaoData::generate(TaobaoConfig {
         num_users: opts.users,
         num_items: opts.items,
@@ -112,7 +112,7 @@ fn build(opts: &Opts) -> Result<(Arc<ShardedServer>, Vec<Query>), String> {
     let items = data.item_nodes();
     let sample: Vec<Query> =
         data.logs.iter().take(32).map(|l| Query::new(l.user, l.query)).collect();
-    let builder = OnlineServer::builder()
+    let server = OnlineServer::builder()
         .graph(Arc::new(data.graph))
         .frozen(frozen)
         .item_pool(&items)
@@ -121,8 +121,9 @@ fn build(opts: &Opts) -> Result<(Arc<ShardedServer>, Vec<Query>), String> {
             ..ServingConfig::default()
         })
         .seed(opts.seed)
-        .metrics(Arc::new(MetricsRegistry::enabled()));
-    let server = ShardedServer::build(builder).map_err(|e| format!("build server: {e}"))?;
+        .metrics(Arc::new(MetricsRegistry::enabled()))
+        .build()
+        .map_err(|e| format!("build server: {e}"))?;
     Ok((Arc::new(server), sample))
 }
 

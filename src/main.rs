@@ -233,7 +233,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             );
         }
     }
-    println!("cache hit rate: {:.1}%", server.cache().stats().hit_rate() * 100.0);
+    println!("cache hit rate: {:.1}%", server.aggregated_cache_stats().hit_rate() * 100.0);
     Ok(())
 }
 
