@@ -4,7 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo build --release (matches the tier-1 verify command) =="
+# Release build of every default member (the root package and every crate
+# under crates/), the same set a bare `cargo build` / `cargo test` covers.
+echo "== cargo build --release (root package + every crate) =="
 cargo build --release --offline -q
 
 echo "== cargo fmt --check =="

@@ -758,7 +758,7 @@ fn call_receiver(ctx: &FileContext, tok: usize) -> Option<String> {
 
 /// Literal metric-name sites: `.counter("…")`, `.gauge("…")`,
 /// `.histogram("…")`, and the `ingest_cache("prefix", …)` helper which
-/// registers `{prefix}.{hits,misses,refreshes,evictions}` counters.
+/// registers `{prefix}.{hits,misses,evictions}` counters.
 ///
 /// `format!`-built names with a literal template — e.g.
 /// `.counter(&format!("serve.shard.{idx}.batches"))` — are normalized to
@@ -795,7 +795,7 @@ fn scan_metric_sites(ctx: &FileContext, out: &mut Vec<MetricSite>) {
         let line = ctx.code_line(i);
         let is_test = ctx.is_test_line(line);
         if t == "ingest_cache" {
-            for suffix in ["hits", "misses", "refreshes", "evictions"] {
+            for suffix in ["hits", "misses", "evictions"] {
                 out.push(MetricSite { kind, name: format!("{name}.{suffix}"), line, is_test });
             }
         } else {

@@ -285,20 +285,24 @@ fn backend_modules_are_covered_by_l001_and_the_no_allow_zone() {
 }
 
 #[test]
-fn doi_cache_and_brownout_modules_are_covered_by_l001_and_the_no_allow_zone() {
-    // The DOI scoring path in `crates/serving/src/cache.rs` runs on every
-    // cache hit and eviction sweep, and the brownout rung selection runs
-    // per batch: non-test code in either may not panic, and the escape
-    // hatch is void like everywhere under crates/serving. The clean
-    // fixture mirrors the real score's shape — saturating age arithmetic,
-    // `max(1)` divisor guards, clamped output — which is exactly what
-    // keeps the real thing L001-free without an opt-out.
+fn clock_cache_and_brownout_modules_are_covered_by_l001_and_the_no_allow_zone() {
+    // The clock sweep in `crates/serving/src/cache.rs` runs under the
+    // cache's write lock on every install past capacity, and the brownout
+    // rung selection runs per batch: non-test code in either may not
+    // panic, and the escape hatch is void like everywhere under
+    // crates/serving. The clean fixture mirrors the real sweep's shape — a
+    // hand that wraps modulo the ring length and clears reference bits
+    // until one was already clear — which stays L001-free without an
+    // opt-out.
     const CACHE: &str = "crates/serving/src/cache.rs";
-    let clean = "fn doi(now: u64, touched: u64, hits: u64, max_hits: u64) -> f32 {\n\
-                 \x20   let age = now.saturating_sub(touched) as f32;\n\
-                 \x20   let recency = 1.0 / (1.0 + age);\n\
-                 \x20   let freq = (1.0 + hits as f32).ln() / (1.0 + max_hits.max(1) as f32).ln();\n\
-                 \x20   (0.5 * recency + 0.5 * freq).clamp(0.0, 1.0)\n\
+    let clean = "fn sweep(bits: &[AtomicBool], hand: &mut usize) -> usize {\n\
+                 \x20   loop {\n\
+                 \x20       let idx = *hand;\n\
+                 \x20       *hand = (idx + 1) % bits.len();\n\
+                 \x20       if !bits[idx].swap(false, Ordering::Relaxed) {\n\
+                 \x20           break idx;\n\
+                 \x20       }\n\
+                 \x20   }\n\
                  }\n";
     assert!(lint_source(CACHE, clean).is_empty(), "{:?}", lint_source(CACHE, clean));
 

@@ -20,8 +20,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to a fresh computation.
     pub misses: u64,
-    /// Entries replaced by the asynchronous refresh path.
-    pub refreshes: u64,
     /// Entries evicted to keep the cache within its capacity bound.
     pub evictions: u64,
 }
@@ -46,7 +44,6 @@ impl CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
-            refreshes: self.refreshes.saturating_sub(earlier.refreshes),
             evictions: self.evictions.saturating_sub(earlier.evictions),
         }
     }
@@ -287,12 +284,11 @@ impl MetricsRegistry {
     }
 
     /// Mirror a [`CacheStats`] reading into `{prefix}.hits` / `.misses` /
-    /// `.refreshes` / `.evictions` counters, so cache effectiveness appears
+    /// `.evictions` counters, so cache effectiveness appears
     /// in snapshots next to the stage timings.
     pub fn ingest_cache(&self, prefix: &str, stats: CacheStats) {
         self.counter(&format!("{prefix}.hits")).store(stats.hits);
         self.counter(&format!("{prefix}.misses")).store(stats.misses);
-        self.counter(&format!("{prefix}.refreshes")).store(stats.refreshes);
         self.counter(&format!("{prefix}.evictions")).store(stats.evictions);
     }
 
@@ -391,21 +387,20 @@ mod tests {
     #[test]
     fn ingest_cache_mirrors_counters() {
         let r = MetricsRegistry::new();
-        let stats = CacheStats { hits: 8, misses: 2, refreshes: 1, evictions: 3 };
+        let stats = CacheStats { hits: 8, misses: 2, evictions: 3 };
         r.ingest_cache("cache", stats);
         let s = r.snapshot();
         assert_eq!(s.counter("cache.hits"), Some(8));
         assert_eq!(s.counter("cache.misses"), Some(2));
-        assert_eq!(s.counter("cache.refreshes"), Some(1));
         assert_eq!(s.counter("cache.evictions"), Some(3));
         assert!((stats.hit_rate() - 0.8).abs() < 1e-12);
     }
 
     #[test]
     fn cache_stats_since_saturates() {
-        let a = CacheStats { hits: 10, misses: 4, refreshes: 2, evictions: 6 };
-        let b = CacheStats { hits: 7, misses: 5, refreshes: 0, evictions: 1 };
-        assert_eq!(a.since(&b), CacheStats { hits: 3, misses: 0, refreshes: 2, evictions: 5 });
+        let a = CacheStats { hits: 10, misses: 4, evictions: 6 };
+        let b = CacheStats { hits: 7, misses: 5, evictions: 1 };
+        assert_eq!(a.since(&b), CacheStats { hits: 3, misses: 0, evictions: 5 });
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 

@@ -17,7 +17,7 @@
 //! - [`topk`] — the bounded streaming top-k every backend and the shard
 //!   merge rank through, in one total order (score, then id).
 //! - [`cache`] — per-node neighbor cache, capacity-bounded, evicting by a
-//!   frequency-aware CLOCK (a two-term degree-of-interest score).
+//!   second-chance CLOCK.
 //! - [`brownout`] — the counted degradation ladder ([`BrownoutRung`]):
 //!   skip-widening → shrunk top-k → capped probe → inverted fallback,
 //!   selected per batch from the remaining deadline budget.
@@ -77,7 +77,7 @@ pub use backend::{
     Backend, BackendKind, BackendStats, BoundedSearch, ExactSearch, IvfBackend, SearchBackend,
 };
 pub use brownout::BrownoutRung;
-pub use cache::{doi_score, NeighborCache};
+pub use cache::NeighborCache;
 pub use deadline::Deadline;
 pub use error::ServingError;
 pub use fault::{FaultInjector, FaultPlan, FaultSite};

@@ -509,7 +509,7 @@ impl OnlineServer {
     }
 
     /// Point-in-time snapshot of every metric, with the cache partitions'
-    /// summed counters ingested first so hits/misses/refreshes appear next
+    /// summed counters ingested first so hits/misses/evictions appear next
     /// to the stage timings.
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.metrics.registry.ingest_cache("cache", self.aggregated_cache_stats());
@@ -523,7 +523,6 @@ impl OnlineServer {
             let s = shard.cache().stats();
             total.hits += s.hits;
             total.misses += s.misses;
-            total.refreshes += s.refreshes;
             total.evictions += s.evictions;
         }
         total

@@ -467,7 +467,7 @@ fn resident_entries(caches: &[&NeighborCache], num_nodes: usize) -> BTreeMap<Nod
     let mut entries = BTreeMap::new();
     for node in 0..num_nodes as NodeId {
         for (idx, cache) in caches.iter().enumerate() {
-            if let Some(entry) = cache.get(node) {
+            if let Some(Some(entry)) = cache.get_many(&[node]).pop() {
                 assert_eq!(
                     zoomer_graph::shard_of_node(node, caches.len()),
                     idx,

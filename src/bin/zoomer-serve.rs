@@ -127,6 +127,13 @@ fn build(opts: &Opts) -> Result<(Arc<OnlineServer>, Vec<Query>), String> {
     Ok((Arc::new(server), sample))
 }
 
+/// The tier as started: shard 0 ranks on each connection's own thread, so
+/// only shards 1..N start `--replicas` worker threads each.
+fn tier(opts: &Opts) -> String {
+    let workers = opts.shards.saturating_sub(1) * opts.replicas;
+    format!("shards: {}, worker threads: {workers}", opts.shards)
+}
+
 /// Loopback self-test: serve on an ephemeral port, dial it, and verify the
 /// socket answer matches the in-process answer row for row.
 fn smoke(opts: &Opts) -> Result<(), String> {
@@ -153,13 +160,7 @@ fn smoke(opts: &Opts) -> Result<(), String> {
             return Err(format!("smoke: row {i} diverged from the in-process answer"));
         }
     }
-    println!(
-        "smoke ok: {} rows over {} ({} shards × {} replicas)",
-        rows.len(),
-        addr,
-        opts.shards,
-        opts.replicas
-    );
+    println!("smoke ok: {} rows over {} ({})", rows.len(), addr, tier(opts));
     Ok(())
 }
 
@@ -168,8 +169,10 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let door = FrontDoor::new(server, opts.tenant_capacity).with_max_conns(opts.max_conns);
     let listener = TcpListener::bind(&opts.addr).map_err(|e| format!("bind {}: {e}", opts.addr))?;
     println!(
-        "zoomer-serve listening on {} ({} shards × {} replicas, tenant capacity {})",
-        opts.addr, opts.shards, opts.replicas, opts.tenant_capacity
+        "zoomer-serve listening on {} ({}, tenant capacity {})",
+        opts.addr,
+        tier(opts),
+        opts.tenant_capacity
     );
     door.serve(listener);
     Ok(())
@@ -191,5 +194,23 @@ fn main() -> ExitCode {
             eprintln!("zoomer-serve: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(argv: &[&str]) -> Opts {
+        parse(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>()).expect("valid argv")
+    }
+
+    #[test]
+    fn tier_counts_worker_threads_for_shards_after_the_first() {
+        assert_eq!(tier(&opts(&["--shards", "1"])), "shards: 1, worker threads: 0");
+        assert_eq!(
+            tier(&opts(&["--shards", "4", "--replicas", "2"])),
+            "shards: 4, worker threads: 6"
+        );
     }
 }
